@@ -1,26 +1,14 @@
 """Blocking augmenting trails and maximum-cardinality f-matchings of multigraphs."""
 
-from .multigraph import Multigraph, deficiency, matching_size, validate_matching
+from .multigraph import Multigraph
 from .engine import BlockingResult, CheckFailure, StructuralError, Trail, find_trails
-from .expand import GTrail, expand_all, expand_trail, pi_trail, rematch
-from .certificate import (
-    Certificate,
-    CertificateReport,
-    Labeling,
-    bound_value,
-    compute_labels,
-    residual_graph,
-    verify,
-)
+from .expand import GTrail, expand_all, rematch
+from .certificate import Certificate, CertificateReport, Labeling, bound_value, verify
 from .driver import SolveReport, max_f_matching
-from .oracle import OracleLimit, brute_alternating_trail, brute_max, has_augmenting_trail
 from .substitute import BlossomSpec, Crossing, SubstituteMap, build_substitute, pull_back_trail
 
 __all__ = [
     "Multigraph",
-    "deficiency",
-    "matching_size",
-    "validate_matching",
     "BlockingResult",
     "CheckFailure",
     "StructuralError",
@@ -28,22 +16,14 @@ __all__ = [
     "find_trails",
     "GTrail",
     "expand_all",
-    "expand_trail",
-    "pi_trail",
     "rematch",
     "Certificate",
     "CertificateReport",
     "Labeling",
     "bound_value",
-    "compute_labels",
-    "residual_graph",
     "verify",
     "SolveReport",
     "max_f_matching",
-    "OracleLimit",
-    "brute_alternating_trail",
-    "brute_max",
-    "has_augmenting_trail",
     "BlossomSpec",
     "Crossing",
     "SubstituteMap",

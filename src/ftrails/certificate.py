@@ -87,7 +87,11 @@ def residual_graph(result: BlockingResult) -> ResidualGraph:
     residual = (set(range(g.m)) - trail_edges) | blossom_edges
     post = set(result.matching) ^ trail_edges
     m_rg = post & residual
-    f_prime = [g.degree(v, m_rg) + result.def_final[v] for v in range(g.n)]
+    f_prime = list(result.def_final)
+    for e in m_rg:
+        u, v = g.edges[e]
+        f_prime[u] += 1
+        f_prime[v] += 1
     return ResidualGraph(frozenset(residual), frozenset(m_rg), f_prime)
 
 

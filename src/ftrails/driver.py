@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .certificate import Certificate, CertificateReport, verify
-from .engine import BlockingResult, StructuralError, find_trails
+from .engine import StructuralError, find_trails
 from .expand import expand_all, rematch
 from .multigraph import Multigraph, validate_matching
 
@@ -25,7 +25,6 @@ class SolveReport:
     trail_counts: list[int]
     certificate: Certificate
     report: CertificateReport
-    last_result: BlockingResult
 
 
 def max_f_matching(
@@ -73,7 +72,6 @@ def max_f_matching(
                 trail_counts=trail_counts + [0],
                 certificate=report.certificate,
                 report=report,
-                last_result=result,
             )
         trails = expand_all(result)
         matching = rematch(g, f, matching, trails)

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .multigraph import Multigraph, check_degree_bounds, validate_matching
+from .multigraph import Multigraph, validate_matching
 
 ARTIFICIAL = -1
 
@@ -66,26 +68,38 @@ class BlossomRecord:
     """
 
     base_node: int
-    search: int
     segments: list[BlossomSegment]
     complete: bool = False
 
     def iter_nodes(self):
+        """The base node, then every node inside the blossom.
+
+        A frozen child's base node is the arc that enters it, so the nodes
+        inside are exactly the arcs inside.
+        """
         yield self.base_node
-        for seg in self.segments:
-            for arc, child in zip(seg.arcs, seg.children):
-                if child is None:
-                    yield arc
-                else:
-                    yield from child.iter_nodes()
+        yield from self.iter_arcs()
 
     def iter_arcs(self):
-        """All forest arcs inside the blossom (the base edge excluded)."""
-        for seg in self.segments:
-            for arc, child in zip(seg.arcs, seg.children):
+        """All forest arcs inside the blossom (the base edge excluded).
+
+        Each arc comes right before the arcs inside the frozen child it
+        enters.  The walk keeps its own stack: nesting can be as deep as
+        the forest, far beyond the interpreter's recursion limit.
+        """
+        stack = [_arc_child_pairs(self)]
+        while stack:
+            for arc, child in stack[-1]:
                 yield arc
                 if child is not None:
-                    yield from child.iter_arcs()
+                    stack.append(_arc_child_pairs(child))
+                    break
+            else:
+                stack.pop()
+
+
+def _arc_child_pairs(rec: BlossomRecord):
+    return ((arc, child) for seg in rec.segments for arc, child in zip(seg.arcs, seg.children))
 
 
 class Forest:
@@ -105,17 +119,12 @@ class Forest:
         self.vertex = array("i", zeros)
         self.search = array("i", zeros)
 
-    def __len__(self) -> int:
-        return len(self.edge)
-
     def trim(self, count: int) -> None:
         del self.edge[count:]
         del self.matched[count:]
         del self.tail[count:]
         del self.vertex[count:]
         del self.search[count:]
-
-
 
     def tail_vertex(self, a: int) -> int:
         t = self.tail[a]
@@ -125,8 +134,7 @@ class Forest:
 class BlossomStore:
     """Union-find over forest nodes plus the per-blossom records."""
 
-    def __init__(self, forest: Forest, cap: int = 0) -> None:
-        self.forest = forest
+    def __init__(self, cap: int = 0) -> None:
         self.parent = array("i", range(cap))
         self.size = array("i", bytes(4 * cap))
         self.root_record: dict[int, BlossomRecord] = {}
@@ -154,9 +162,6 @@ class BlossomStore:
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         return ra
-
-    def in_blossom(self, node: int) -> bool:
-        return self.parent[node] != node or self.size[node] > 1
 
     def record_of_node(self, node: int) -> Optional[BlossomRecord]:
         return self.root_record.get(self.find(node))
@@ -210,9 +215,9 @@ class BlockingResult:
     forest: Forest
     blossoms: BlossomStore
     e1_arc: list[int]
-    e1_node: list[int]
     def_final: list[int]
     searches: int
+    expanded: Optional[list] = None  # the expanded trails, once expand_all ran
 
 
 ENTER, GROW, BLOSSOM, PENDING = 0, 1, 2, 3
@@ -234,8 +239,9 @@ class _Run:
         self.trace = trace
 
         n = g.n
-        self.edge_u = array("i", (u for u, _ in g.edges))
-        self.edge_v = array("i", (v for _, v in g.edges))
+        ends = array("i", chain.from_iterable(g.edges))
+        self.edge_u = ends[0::2]
+        self.edge_v = ends[1::2]
         self.edge_matched = bytearray(g.m)
         for e in matching:
             self.edge_matched[e] = 1
@@ -247,51 +253,29 @@ class _Run:
         # flag.  With nothing matched the graph's flat incidence is reused.
         if matching:
             em = self.edge_matched
-            deg_m = [0] * n
-            deg_u = [0] * n
-            for v in range(n):
-                for e in g.incidence[v]:
-                    if em[e]:
-                        deg_m[v] += 1
-                    else:
-                        deg_u[v] += 1
-            self.cur_matched = array("i", bytes(4 * n))
-            self.cur_unmatched = array("i", bytes(4 * n))
-            self.end_matched = array("i", bytes(4 * n))
-            self.end_unmatched = array("i", bytes(4 * n))
-            tm = tu = 0
-            for v in range(n):
-                self.cur_matched[v] = tm
-                self.cur_unmatched[v] = tu
-                tm += deg_m[v]
-                tu += deg_u[v]
-                self.end_matched[v] = tm
-                self.end_unmatched[v] = tu
-            self.gl_matched = array("i", bytes(4 * tm))
-            self.gl_unmatched = array("i", bytes(4 * tu))
-            fill_m = list(self.cur_matched)
-            fill_u = list(self.cur_unmatched)
-            for v in range(n):
-                for e in g.incidence[v]:
-                    if em[e]:
-                        self.gl_matched[fill_m[v]] = e
-                        fill_m[v] += 1
-                    else:
-                        self.gl_unmatched[fill_u[v]] = e
-                        fill_u[v] += 1
+            m_lists = [[e for e in inc if em[e]] for inc in g.incidence]
+            u_lists = [[e for e in inc if not em[e]] for inc in g.incidence]
+            off_m = array("i", accumulate(map(len, m_lists), initial=0))
+            off_u = array("i", accumulate(map(len, u_lists), initial=0))
+            self.gl_matched = array("i", chain.from_iterable(m_lists))
+            self.gl_unmatched = array("i", chain.from_iterable(u_lists))
+            self.cur_matched = off_m[:n]
+            self.end_matched = off_m[1:]
+            self.cur_unmatched = off_u[:n]
+            self.end_unmatched = off_u[1:]
             deg = [0] * n
             for e in matching:
                 u, v = g.edges[e]
                 deg[u] += 1
                 deg[v] += 1
-            self.deficiency = array("i", (f[v] - deg[v] for v in range(n)))
+            self.deficiency = array("i", map(sub, f, deg))
         else:
             self.gl_matched = array("i")
             self.gl_unmatched = g.inc_flat
             self.cur_matched = array("i", bytes(4 * n))
             self.end_matched = array("i", bytes(4 * n))
-            self.cur_unmatched = array("i", g.inc_off[:n].tobytes())
-            self.end_unmatched = array("i", g.inc_off[1:].tobytes())
+            self.cur_unmatched = g.inc_off[:n]
+            self.end_unmatched = g.inc_off[1:]
             self.deficiency = array("i", f)
         self.edge_used = bytearray(g.m)
 
@@ -308,7 +292,6 @@ class _Run:
         self.bl_cnt_m = array("i", zeros_n)
         self.bl_cnt_u = array("i", zeros_n)
         self.e1_arc = array("i", minus1)
-        self.e1_node = array("i", minus1)
         self.vertex_blossom = array("i", minus1)
         # one occurrence of each flagged vertex inside its unique blossom;
         # stays valid across enlargements since merged nodes keep their set
@@ -324,7 +307,7 @@ class _Run:
         self.bl_entry_next.frombytes(zeros_cap)
         self.n_bl = 0
         self.forest = Forest(cap)
-        self.store = BlossomStore(self.forest, cap)
+        self.store = BlossomStore(cap)
         self.n_arcs = 0
         self.trails: list[Trail] = []
         self.search_id = -1
@@ -415,7 +398,6 @@ class _Run:
         n_bl = self.n_bl
         vertex_blossom = self.vertex_blossom
         e1_arc = self.e1_arc
-        e1_node = self.e1_node
         sid = self.search_id
         trace = self.trace
         check = self.check
@@ -612,7 +594,6 @@ class _Run:
                 bl_cnt_u[x] += 1
             if e1_arc[x] < 0:
                 e1_arc[x] = arc
-                e1_node[x] = node
             if arc == node:
                 # head-flavor return: may complete a blossom based here
                 rec = base_record.get(node)
@@ -656,7 +637,7 @@ class _Run:
             child = store.root_record.pop(store.find(a), None)
             children.append(child)
         if rec is None:
-            rec = BlossomRecord(base_node=node, search=self.search_id, segments=[])
+            rec = BlossomRecord(base_node=node, segments=[])
             store.base_record[node] = rec
         seg = BlossomSegment(
             arcs=path,
@@ -822,7 +803,6 @@ def find_trails(
         ValueError: if the matching violates a degree bound.
         CheckFailure: if check mode catches an invariant violation.
     """
-    check_degree_bounds(g, f)
     bad = validate_matching(g, f, matching)
     if bad:
         raise ValueError(f"matching violates degree bounds at vertices {bad}")
@@ -840,7 +820,6 @@ def find_trails(
         forest=run.forest,
         blossoms=run.store,
         e1_arc=run.e1_arc,
-        e1_node=run.e1_node,
         def_final=run.deficiency,
         searches=run.search_id + 1,
     )

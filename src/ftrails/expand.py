@@ -304,14 +304,11 @@ def expand_trail(result: BlockingResult, trail: Trail, router: Optional[_Router]
 
 
 def expand_all(result: BlockingResult) -> list[GTrail]:
-    """Expand every trail of a run, caching on the result object."""
-    cached = getattr(result, "_expanded", None)
-    if cached is not None:
-        return cached
-    router = _Router(result)
-    out = [expand_trail(result, t, router) for t in result.trails]
-    result._expanded = out  # type: ignore[attr-defined]
-    return out
+    """Expand every trail of a run, kept in result.expanded for reuse."""
+    if result.expanded is None:
+        router = _Router(result)
+        result.expanded = [expand_trail(result, t, router) for t in result.trails]
+    return result.expanded
 
 
 def check_gtrail(g: Multigraph, matching: set[int], trail: GTrail) -> list[str]:

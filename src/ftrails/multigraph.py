@@ -9,6 +9,7 @@ equal.  A loop contributes 2 to the degree of its vertex.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, chain
 
 
 class Multigraph:
@@ -22,9 +23,6 @@ class Multigraph:
     def __init__(self, n: int, edges: list[tuple[int, int]]) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        for e, (u, v) in enumerate(edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {e} endpoint out of range: ({u}, {v})")
 
         self.n = n
         self.edges: list[tuple[int, int]] = list(edges)
@@ -32,18 +30,16 @@ class Multigraph:
         # incidence[v] lists the edge ids incident to v, in edge-id order.
         # A loop appears once in its vertex's list.  The same lists are kept
         # flattened (inc_flat with per-vertex offsets inc_off) for scans.
-        self.incidence: list[list[int]] = [[] for _ in range(n)]
+        incidence: list[list[int]] = [[] for _ in range(n)]
         for e, (u, v) in enumerate(self.edges):
-            self.incidence[u].append(e)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {e} endpoint out of range: ({u}, {v})")
+            incidence[u].append(e)
             if v != u:
-                self.incidence[v].append(e)
-        self.inc_off = array("i", bytes(4 * (n + 1)))
-        total = 0
-        for v in range(n):
-            self.inc_off[v] = total
-            total += len(self.incidence[v])
-        self.inc_off[n] = total
-        self.inc_flat = array("i", (e for lst in self.incidence for e in lst))
+                incidence[v].append(e)
+        self.incidence = incidence
+        self.inc_off = array("i", accumulate(map(len, incidence), initial=0))
+        self.inc_flat = array("i", chain.from_iterable(incidence))
 
     @property
     def m(self) -> int:
@@ -102,7 +98,3 @@ def validate_matching(g: Multigraph, f: list[int], matching: set[int]) -> list[i
         deg[u] += 1
         deg[v] += 1
     return [v for v in range(g.n) if deg[v] > f[v]]
-
-
-def matching_size(matching: set[int]) -> int:
-    return len(matching)

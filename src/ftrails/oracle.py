@@ -35,31 +35,37 @@ def brute_max(
     if validate_matching(g, f, set()) != []:
         raise ValueError("degree bounds invalid")
 
-    # Depth-first include/exclude over edges, pruning on residual degrees
-    # and on the count of edges still available.
+    # Depth-first include/exclude over edges.  A branch is cut unless it
+    # can beat the best so far: every further edge uses one of the edges
+    # still available and two units of residual degree.
+    edges = g.edges
     residual = list(f)
+    spare = sum(f)
     chosen: list[int] = []
     best: list[int] = []
 
     def walk(e: int) -> None:
-        nonlocal best
-        if len(chosen) + (m - e) <= len(best):
+        nonlocal best, spare
+        if len(chosen) + min(m - e, spare // 2) <= len(best):
             return
         if e == m:
             best = list(chosen)
             return
-        u, v = g.edges[e]
-        need = 2 if u == v else 1
-        if residual[u] >= need and (u == v or residual[v] >= 1):
-            residual[u] -= need
-            if u != v:
-                residual[v] -= 1
+        u, v = edges[e]
+        if u == v:
+            ok = residual[u] >= 2
+        else:
+            ok = residual[u] >= 1 and residual[v] >= 1
+        if ok:
+            residual[u] -= 1
+            residual[v] -= 1
+            spare -= 2
             chosen.append(e)
             walk(e + 1)
             chosen.pop()
-            residual[u] += need
-            if u != v:
-                residual[v] += 1
+            residual[u] += 1
+            residual[v] += 1
+            spare += 2
         walk(e + 1)
 
     walk(0)

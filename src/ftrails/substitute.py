@@ -41,13 +41,6 @@ class SubstituteMap:
     new_edges: list[int]  # per blossom: the beta-b edge id in the new graph
     owner: dict[int, int]  # original vertex -> blossom index
 
-    def original_of(self, new_edge: int) -> Optional[int]:
-        back = getattr(self, "_back", None)
-        if back is None:
-            back = {ne: e for e, ne in self.edge_map.items()}
-            self._back = back  # type: ignore[attr-defined]
-        return back.get(new_edge)
-
 
 @dataclass
 class Crossing:
@@ -56,14 +49,12 @@ class Crossing:
     entry_edge is the base edge when it carries the trail into the
     blossom; exit_edge is the single other incident edge used.  Either may
     be None when the trail ends inside the gadget (free-base blossoms).
-    The corresponding original trail must pass through the base vertex
-    whenever through_base holds.
+    The corresponding original trail passes through the base vertex.
     """
 
     blossom: int
     entry_edge: Optional[int]
     exit_edge: Optional[int]
-    through_base: bool
 
 
 @dataclass
@@ -182,6 +173,7 @@ def pull_back_trail(trail: GTrail, smap: SubstituteMap) -> PulledBackTrail:
         gadget_at[spec.base] = bi
         gadget_at[smap.shadow[bi]] = bi
     bb_of = {ne: bi for bi, ne in enumerate(smap.new_edges)}
+    original_of = {ne: e for e, ne in smap.edge_map.items()}
 
     out = PulledBackTrail(edges=[])
     seen: set[int] = set()
@@ -207,7 +199,7 @@ def pull_back_trail(trail: GTrail, smap: SubstituteMap) -> PulledBackTrail:
                 base_uses += 1
             if ne in bb_of:
                 continue
-            e = smap.original_of(ne)
+            e = original_of.get(ne)
             if e == spec.base_edge:
                 eta = e
             elif side is None:
@@ -219,7 +211,7 @@ def pull_back_trail(trail: GTrail, smap: SubstituteMap) -> PulledBackTrail:
         if base_uses >= 2 and eta is None and spec.base_edge is not None:
             raise ValueError(f"trail passes the base of blossom {bi} off its base edge")
         out.crossings.append(
-            Crossing(blossom=bi, entry_edge=eta, exit_edge=side, through_base=True)
+            Crossing(blossom=bi, entry_edge=eta, exit_edge=side)
         )
         out.edges.append(None)
         run.clear()
@@ -235,7 +227,7 @@ def pull_back_trail(trail: GTrail, smap: SubstituteMap) -> PulledBackTrail:
         if not touched:
             if active is not None:
                 flush()
-            e = smap.original_of(ne)
+            e = original_of.get(ne)
             if e is None:
                 raise ValueError(f"substituted edge {ne} has no original counterpart")
             out.edges.append(e)

@@ -4,16 +4,19 @@ Criteria 3, 5 and 6 are defined over the runs of criteria 1 and 2, so those
 runs happen once in session-scoped fixtures and the dependent criteria read
 the collected tallies.  FTRAILS_ACCEPT_SCALE (0 < s <= 1) thins the
 exhaustive criterion-1 stream deterministically for faster development
-runs; the default is the full sweep.
+runs; the default is the full sweep.  The criterion-1 sweep is split
+across worker processes and their tallies are summed.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+import multiprocessing
 import os
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -102,13 +105,16 @@ def run_to_blocking(g, f, matching, tally: Tally, keep_residual=False):
         current = rematch(g, f, current, trails)
 
 
-@pytest.fixture(scope="session")
-def c1_tally():
+def c1_share(stride: int, shares: int, share: int) -> Tally:
+    """Criterion 1 over every shares-th instance of the (thinned) stream,
+    starting at the share-th one."""
     tally = Tally()
-    stride = max(1, round(1 / SCALE)) if SCALE < 1 else 1
-    started = time.perf_counter()
+    picked = -1
     for idx, (n, edges, f) in enumerate(exhaustive_instances()):
         if stride > 1 and idx % stride:
+            continue
+        picked += 1
+        if picked % shares != share:
             continue
         g = Multigraph(n, edges)
         final, _ = run_to_blocking(g, f, set(), tally)
@@ -117,7 +123,36 @@ def c1_tally():
             tally.size_mismatches.append((n, edges, f, len(final), best))
         tally.instances += 1
         if tally.instances % 250000 == 0:
-            print(f"  ... criterion 1 sweep: {tally.instances} instances", flush=True)
+            print(f"  ... criterion 1 sweep, share {share}: {tally.instances} instances", flush=True)
+    return tally
+
+
+@pytest.fixture(scope="session")
+def c1_tally():
+    """The criterion-1 sweep, split over one worker process per CPU (at
+    most four); each worker checks an interleaved share of the same stream.
+    The executor raises, rather than waits, if a worker dies."""
+    stride = max(1, round(1 / SCALE)) if SCALE < 1 else 1
+    shares = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    pool = None
+    if shares > 1:
+        try:
+            pool = ProcessPoolExecutor(shares, mp_context=multiprocessing.get_context("spawn"))
+        except OSError:  # no process-shared semaphores here: run in-process
+            pass
+    started = time.perf_counter()
+    if pool is None:
+        parts = [c1_share(stride, 1, 0)]
+    else:
+        with pool:
+            parts = list(pool.map(c1_share, [stride] * shares, [shares] * shares, range(shares)))
+    tally = Tally()
+    for part in parts:
+        for name, value in vars(part).items():
+            if isinstance(value, list):
+                getattr(tally, name).extend(value)
+            else:
+                setattr(tally, name, getattr(tally, name) + value)
     tally.elapsed = time.perf_counter() - started
     return tally
 

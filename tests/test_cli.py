@@ -45,6 +45,11 @@ def test_parse_rejects_invalid_matching():
         parse_instance(text)
 
 
+def test_parse_rejects_negative_bound():
+    with pytest.raises(ValueError, match=r"^line 2: degree bound -1 of vertex 2 is negative$"):
+        parse_instance("p ftrails 2 1\nf 2 -1\ne 1 2\n")
+
+
 def test_default_bounds_are_one():
     inst = parse_instance(SINGLE_EDGE)
     assert inst.f == [1, 1]

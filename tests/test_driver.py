@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ftrails.cli import main, parse_instance
 from ftrails.driver import max_f_matching
 from ftrails.multigraph import Multigraph
 from ftrails.oracle import brute_max
@@ -58,3 +59,49 @@ def test_monotone_phases_and_termination():
         assert report.phases <= sum(f) // 2 + 1
         if g.m <= 13:
             assert len(report.matching) == brute_max(g, f)[0]
+
+
+# Blossoms nested thousands of levels deep: every blossom-tree walk must
+# keep its own stack rather than recurse once per level.
+
+
+def triangle_chain(k):
+    """k triangles, consecutive ones sharing a vertex; n = 2k + 1."""
+    edges = []
+    for i in range(k):
+        a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
+        edges += [(a, b), (b, c), (c, a)]
+    return Multigraph(2 * k + 1, edges)
+
+
+def test_deep_triangle_chain():
+    g = triangle_chain(5000)
+    report = max_f_matching(g, [1] * g.n)
+    assert len(report.matching) == 5000
+    assert report.report.ok and report.certificate.bound == 5000
+
+
+def test_deep_triangle_strip():
+    n = 10001
+    g = Multigraph(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)])
+    report = max_f_matching(g, [1] * n)
+    assert len(report.matching) == 5000
+    assert report.report.ok and report.certificate.bound == 5000
+
+
+def test_generated_instance_with_deep_nesting(capsys):
+    assert main(["gen", "2500", "10000", "3", "1"]) == 0
+    inst = parse_instance(capsys.readouterr().out)
+    report = max_f_matching(inst.g, inst.f)
+    assert report.report.ok
+    assert len(report.matching) == report.certificate.bound
+
+
+def test_cli_solve_deep_chain(tmp_path, capsys):
+    g = triangle_chain(2000)
+    path = tmp_path / "chain.txt"
+    path.write_text(
+        f"p ftrails {g.n} {g.m}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges)
+    )
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("size 2000\n")

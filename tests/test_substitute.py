@@ -105,7 +105,7 @@ def test_pull_back_reports_crossing():
     pulled = pull_back_trail(trail, smap)
     assert pulled.edges == [None]
     (crossing,) = pulled.crossings
-    assert crossing.entry_edge == 3 and crossing.exit_edge == 4 and crossing.through_base
+    assert crossing.entry_edge == 3 and crossing.exit_edge == 4
 
 
 def test_pull_back_rejects_double_visit():
