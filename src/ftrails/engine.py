@@ -16,13 +16,16 @@ id (or -1 for a root).
 The search itself is one explicit-stack loop (_Run._search): recursion
 depth can reach the edge count, and the hot path stays free of attribute
 lookups and string formatting unless tracing is on.
+
+A grow step scans the graph's own incidence list of its vertex, skipping
+edges of the other M-type, so a run's set-up is one pass over the matching
+plus flat buffers that C code fills.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain
 from operator import sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -135,7 +138,7 @@ class BlossomStore:
     """Union-find over forest nodes plus the per-blossom records."""
 
     def __init__(self, cap: int = 0) -> None:
-        self.parent = array("i", range(cap))
+        self.parent = array("i", bytes(4 * cap))  # set when each arc is made
         self.size = array("i", bytes(4 * cap))
         self.root_record: dict[int, BlossomRecord] = {}
         self.base_record: dict[int, BlossomRecord] = {}
@@ -222,6 +225,8 @@ class BlockingResult:
 
 ENTER, GROW, BLOSSOM, PENDING = 0, 1, 2, 3
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
 
 class _Run:
     def __init__(
@@ -233,51 +238,32 @@ class _Run:
         trace: Optional[Callable[[str], None]],
     ) -> None:
         self.g = g
-        self.f = f
-        self.matching = matching
         self.check = check
         self.trace = trace
 
         n = g.n
-        ends = array("i", chain.from_iterable(g.edges))
-        self.edge_u = ends[0::2]
-        self.edge_v = ends[1::2]
-        self.edge_matched = bytearray(g.m)
+        edges = g.edges
+        matched = bytearray(g.m)
+        deg = [0] * n
         for e in matching:
-            self.edge_matched[e] = 1
+            matched[e] = 1
+            u, v = edges[e]
+            deg[u] += 1
+            deg[v] += 1
+        self.deficiency = array("i", map(sub, f, deg))
 
-        # Grow lists, flattened and split by M-type so a scan never touches
-        # edges of the wrong type: per-vertex segments of gl_* delimited by
-        # a cursor (cur_*) and an end offset (end_*).  Cursors only move
-        # forward; edges are struck out of both lists by the shared used
-        # flag.  With nothing matched the graph's flat incidence is reused.
-        if matching:
-            em = self.edge_matched
-            m_lists = [[e for e in inc if em[e]] for inc in g.incidence]
-            u_lists = [[e for e in inc if not em[e]] for inc in g.incidence]
-            off_m = array("i", accumulate(map(len, m_lists), initial=0))
-            off_u = array("i", accumulate(map(len, u_lists), initial=0))
-            self.gl_matched = array("i", chain.from_iterable(m_lists))
-            self.gl_unmatched = array("i", chain.from_iterable(u_lists))
-            self.cur_matched = off_m[:n]
-            self.end_matched = off_m[1:]
-            self.cur_unmatched = off_u[:n]
-            self.end_unmatched = off_u[1:]
-            deg = [0] * n
-            for e in matching:
-                u, v = g.edges[e]
-                deg[u] += 1
-                deg[v] += 1
-            self.deficiency = array("i", map(sub, f, deg))
-        else:
-            self.gl_matched = array("i")
-            self.gl_unmatched = g.inc_flat
-            self.cur_matched = array("i", bytes(4 * n))
-            self.end_matched = array("i", bytes(4 * n))
-            self.cur_unmatched = g.inc_off[:n]
-            self.end_unmatched = g.inc_off[1:]
-            self.deficiency = array("i", f)
-        self.edge_used = bytearray(g.m)
+        # Grow scans walk the graph's flat incidence lists (the segment of
+        # x ends at inc_end[x]) with a forward cursor per vertex and M-type,
+        # skipping closed edges: closed_u starts as the matched flags,
+        # closed_m as their complement, and a grown edge is closed where it
+        # was found.  Lists are in edge-id order, so a scan meets the edges
+        # of its type in edge-id order.  With nothing matched, the matched
+        # cursors start at the segment ends.
+        self.closed_u = matched
+        self.closed_m = matched.translate(_FLIP)
+        self.inc_end = g.inc_off[1:]
+        self.cur_unmatched = g.inc_off[:n]
+        self.cur_matched = g.inc_off[:n] if matching else g.inc_off[1:]
 
         # per-vertex FIFO lists of returned invocations awaiting blossom
         # steps (the first pop must return the first entry), flattened into
@@ -379,15 +365,13 @@ class _Run:
         sz = store.size
         base_record = store.base_record
         deficiency = self.deficiency
-        edge_used = self.edge_used
-        edge_u = self.edge_u
-        edge_v = self.edge_v
-        glm = self.gl_matched
-        glu = self.gl_unmatched
+        edges = self.g.edges
+        inc = self.g.inc_flat
+        inc_end = self.inc_end
+        closed_u = self.closed_u
+        closed_m = self.closed_m
         curm = self.cur_matched
         curu = self.cur_unmatched
-        endm = self.end_matched
-        endu = self.end_unmatched
         bl_entry_node = self.bl_entry_node
         bl_entry_arc = self.bl_entry_arc
         bl_entry_next = self.bl_entry_next
@@ -433,27 +417,27 @@ class _Run:
         while True:
             if state == GROW:
                 if amu:
-                    gl = glu
+                    closed = closed_u
                     cur = curu
-                    hi = endu[x]
                 else:
-                    gl = glm
+                    closed = closed_m
                     cur = curm
-                    hi = endm[x]
                 i = cur[x]
+                hi = inc_end[x]
                 e = -1
                 while i < hi:
-                    c = gl[i]
+                    c = inc[i]
                     i += 1
-                    if not edge_used[c]:
+                    if not closed[c]:
                         e = c
                         break
                 cur[x] = i
                 if e >= 0:
-                    edge_used[e] = 1
+                    closed[e] = 1
                     want = 1 - amu
-                    a = edge_u[e]
-                    y = edge_v[e] if a == x else a
+                    a, y = edges[e]
+                    if a != x:
+                        y = a
                     child = n_arcs
                     n_arcs += 1
                     fedge[child] = e

@@ -9,7 +9,8 @@ equal.  A loop contributes 2 to the degree of its vertex.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
+from operator import gt
 
 
 class Multigraph:
@@ -73,9 +74,9 @@ def check_degree_bounds(g: Multigraph, f: list[int]) -> None:
     """Validate a per-vertex degree bound vector against g."""
     if len(f) != g.n:
         raise ValueError(f"degree bound vector has length {len(f)}, expected {g.n}")
-    for v, b in enumerate(f):
-        if b < 0:
-            raise ValueError(f"degree bound f({v}) = {b} is negative")
+    if f and min(f) < 0:
+        v = next(v for v, b in enumerate(f) if b < 0)
+        raise ValueError(f"degree bound f({v}) = {f[v]} is negative")
 
 
 def deficiency(g: Multigraph, f: list[int], matching: set[int], v: int) -> int:
@@ -90,11 +91,12 @@ def validate_matching(g: Multigraph, f: list[int], matching: set[int]) -> list[i
     range raise ValueError.
     """
     check_degree_bounds(g, f)
+    m = g.m
+    if matching and (min(matching) < 0 or max(matching) >= m):
+        e = next(e for e in matching if not 0 <= e < m)
+        raise ValueError(f"matching contains unknown edge id {e}")
     deg = [0] * g.n
-    for e in matching:
-        if not (0 <= e < g.m):
-            raise ValueError(f"matching contains unknown edge id {e}")
-        u, v = g.edges[e]
+    for u, v in map(g.edges.__getitem__, matching):
         deg[u] += 1
         deg[v] += 1
-    return [v for v in range(g.n) if deg[v] > f[v]]
+    return list(compress(range(g.n), map(gt, deg, f)))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ftrails.driver import max_f_matching
 from ftrails.engine import ARTIFICIAL, find_trails
 from ftrails.expand import expand_all, rematch
 from ftrails.multigraph import Multigraph
@@ -162,6 +163,44 @@ def test_deterministic_traces():
         find_trails(g, [1] * 6, {1, 3}, trace=lines.append)
         runs.append(lines)
     assert runs[0] == runs[1]
+
+
+def test_grow_order_at_interleaved_vertex():
+    # vertex 0's incidence list alternates M-types and holds a loop (2) and
+    # parallel pairs (1, 6), (3, 4), (7, 8); each scan at 0 takes the open
+    # edges of its type in edge-id order, and edges 1, 3, 7 are grown from
+    # their other ends first
+    edges = [(0, 1), (0, 2), (0, 0), (0, 3), (0, 3), (4, 0), (0, 2), (0, 5), (5, 0), (6, 2)]
+    matching = {1, 4, 6, 8}
+    g = Multigraph(7, edges)
+    _, lines = traced(g, [4, 0, 2, 1, 0, 1, 1], matching)
+    grows = [line for line in lines if line.startswith("grow")]
+    assert grows == [
+        "grow 6->2 edge 9 arc 1",
+        "grow 2->0 edge 1 arc 2",
+        "grow 0->1 edge 0 arc 3",
+        "grow 0->0 edge 2 arc 4",
+        "grow 0->3 edge 4 arc 5",
+        "grow 3->0 edge 3 arc 6",
+        "grow 0->2 edge 6 arc 7",
+        "grow 0->5 edge 8 arc 8",
+        "grow 5->0 edge 7 arc 9",
+        "grow 0->4 edge 5 arc 10",
+    ]
+    at_hub = [int(line.split()[3]) for line in grows if line.startswith("grow 0->")]
+    assert [e for e in at_hub if e not in matching] == [0, 2, 5]
+    assert [e for e in at_hub if e in matching] == [4, 6, 8]
+
+
+def test_seeded_solve_phase_counts():
+    rng = random.Random(2024)
+    n, m = 600, 1500
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+    f = [rng.randint(1, 3) for _ in range(n)]
+    rep = max_f_matching(Multigraph(n, edges), f)
+    assert rep.phases == 18
+    assert rep.trail_counts == [486, 42, 12, 6, 3, 3] + [1] * 11 + [0]
+    assert len(rep.matching) == 563
 
 
 def test_order_parameter_controls_roots():
