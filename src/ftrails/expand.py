@@ -8,10 +8,15 @@ classic P-trails: for an occurrence v inside a blossom and a required
 M-type at v, an alternating trail from v to the base whose final edge
 stays compatible with the base edge.  They are read off the recorded
 closed-trail segments; no search over the subgraph is involved.
+
+The nodes inside blossoms are numbered once per phase, in pre-order, so
+each record, nested or not, is one interval: placing a node is an interval
+test and a bisect, not a walk over every record that encloses it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,8 +25,9 @@ from .engine import (
     BlossomRecord,
     StructuralError,
     Trail,
+    _arc_child_pairs,
 )
-from .multigraph import Multigraph, validate_matching
+from .multigraph import Multigraph
 
 # One traversed edge: (edge id, from-vertex, to-vertex).
 Step = tuple[int, int, int]
@@ -41,50 +47,88 @@ class GTrail:
 
 
 class _Locator:
-    """Positions of nodes within one blossom record's segment structure."""
+    """Where nodes sit within one blossom record's segment structure.
 
-    __slots__ = ("atom_pos", "child_pos", "tail_roles", "occurrences")
+    The record is the interval [lo, hi) of the router's numbering, lo its
+    base node.  Slot (j, i), arc i of segment j with the child it enters,
+    starts at that arc's position, so a bisect finds a node's slot.
+    """
 
-    def __init__(self, rec: BlossomRecord, vertex_of: list[int]) -> None:
+    def __init__(self, rec: BlossomRecord, router: _Router) -> None:
+        self.lo, self.hi = router.span[rec]
+        # the router's tables, not the router: a cycle would keep each
+        # phase's numbering alive until the cyclic collector ran
+        self.pos, self.order, self.vertex_pos = router.pos, router.order, router.vertex_pos
         self.atom_pos: dict[int, tuple[int, int]] = {}
-        self.child_pos: dict[int, tuple[int, int]] = {}
         self.tail_roles: dict[int, list[int]] = {}
-        self.occurrences: dict[int, list[int]] = {}
-
-        def occ(node: int) -> None:
-            self.occurrences.setdefault(vertex_of[node], []).append(node)
-
-        occ(rec.base_node)
+        self.seg_lo: list[int] = []  # position of each segment's first arc
+        self.starts: list[int] = []
+        self.slots: list[Optional[tuple[int, int]]] = []  # None for an atom
         for j, seg in enumerate(rec.segments):
             self.tail_roles.setdefault(seg.start_node, []).append(j)
+            self.seg_lo.append(self.pos[seg.arcs[0]])
             for i, (arc, child) in enumerate(zip(seg.arcs, seg.children)):
+                self.starts.append(self.pos[arc])
+                self.slots.append(None if child is None else (j, i))
                 if child is None:
                     self.atom_pos[arc] = (j, i)
-                    occ(arc)
-                else:
-                    for nd in child.iter_nodes():
-                        self.child_pos[nd] = (j, i)
-                        occ(nd)
 
-    def seg_of(self, node: int, base_node: int) -> int:
-        if node == base_node:
-            return -1
-        if node in self.atom_pos:
-            return self.atom_pos[node][0]
-        return self.child_pos[node][0]
+    def child_pos(self, node: int) -> Optional[tuple[int, int]]:
+        """The slot of the frozen child holding node, or None."""
+        p = self.pos.get(node)
+        if p is None or not self.lo < p < self.hi:
+            return None
+        return self.slots[bisect_right(self.starts, p) - 1]
+
+    def occurrences(self, vertex: int, seg_bound: Optional[int] = None) -> list[int]:
+        """The nodes of vertex in the record (before segment seg_bound), in pre-order."""
+        ps = self.vertex_pos.get(vertex, ())
+        hi = self.hi if seg_bound is None else self.seg_lo[seg_bound]
+        order = self.order
+        return [order[p] for p in ps[bisect_left(ps, self.lo) : bisect_left(ps, hi)]]
 
 
 class _Router:
-    """Computes alternating trails to blossom bases from the stored segments."""
+    """Computes alternating trails to blossom bases from the stored segments.
+
+    At its first use it numbers the nodes inside the root records in the
+    pre-order of BlossomRecord.iter_nodes (order, and pos its inverse), with
+    the interval of every record, nested ones too, in span and each
+    vertex's ascending positions in vertex_pos.
+    """
 
     def __init__(self, result: BlockingResult) -> None:
         self.forest = result.forest
+        self.store = result.blossoms
         self._locators: dict[BlossomRecord, _Locator] = {}
+
+    def _number(self) -> None:
+        order = self.order = []
+        self.span: dict[BlossomRecord, tuple[int, int]] = {}
+        for root in self.store.root_record.values():
+            order.append(root.base_node)
+            stack = [(root, len(order) - 1, _arc_child_pairs(root))]
+            while stack:
+                rec, lo, pairs = stack[-1]
+                for arc, child in pairs:
+                    order.append(arc)
+                    if child is not None:
+                        stack.append((child, len(order) - 1, _arc_child_pairs(child)))
+                        break
+                else:
+                    stack.pop()
+                    self.span[rec] = (lo, len(order))
+        self.pos = dict(zip(order, range(len(order))))
+        self.vertex_pos: dict[int, list[int]] = {}
+        for p, v in enumerate(map(self.forest.vertex.__getitem__, order)):
+            self.vertex_pos.setdefault(v, []).append(p)
 
     def locator(self, rec: BlossomRecord) -> _Locator:
         loc = self._locators.get(rec)
         if loc is None:
-            loc = self._locators[rec] = _Locator(rec, self.forest.vertex)
+            if not self._locators:  # first use
+                self._number()
+            loc = self._locators[rec] = _Locator(rec, self)
         return loc
 
     def _down(self, a: int) -> Step:
@@ -149,7 +193,7 @@ class _Router:
                 if out is not None:
                     return out
 
-        pos = loc.child_pos.get(node)
+        pos = loc.child_pos(node)
         if pos is not None and (seg_bound is None or pos[0] < seg_bound):
             j, i = pos
             child = rec.segments[j].children[i]
@@ -161,10 +205,8 @@ class _Router:
 
         # Any other occurrence of the same vertex gives an equally valid
         # trail from that vertex.
-        for other in loc.occurrences.get(self.forest.vertex[node], ()):
+        for other in loc.occurrences(self.forest.vertex[node], seg_bound):
             if other == node:
-                continue
-            if seg_bound is not None and loc.seg_of(other, rec.base_node) >= seg_bound:
                 continue
             out = self.route(rec, other, start_matched, seg_bound, _visited)
             if out is not None:
@@ -224,7 +266,7 @@ class _Router:
             # occurrence of the base vertex
             want = not forest.matched[rec.base_node]
             base_vertex = forest.vertex[rec.base_node]
-            for occ in self.locator(final).occurrences.get(base_vertex, ()):
+            for occ in self.locator(final).occurrences(base_vertex):
                 sub = self.route(final, occ, want, None, visited)
                 if sub is not None:
                     return steps + _reversed_steps(sub)
@@ -323,6 +365,8 @@ def check_gtrail(g: Multigraph, matching: set[int], trail: GTrail) -> list[str]:
     for e, u, v in steps:
         if u != at:
             problems.append(f"edge {e} does not continue the trail at {at}")
+        if not 0 <= e < g.m:
+            return problems + [f"unknown edge id {e}"]
         uu, vv = g.edges[e]
         if {uu, vv} != {u, v}:
             problems.append(f"edge {e} is not between {u} and {v}")
@@ -349,9 +393,10 @@ def rematch(
 ) -> set[int]:
     """Symmetric difference of the matching with a set of augmenting trails.
 
-    The trails must be pairwise edge-disjoint alternating trails with
-    deficient endpoints; any violation signals an engine bug and raises.
-    The result is a valid matching exactly one edge larger per trail.
+    matching must be a valid f-matching.  The trails must be pairwise
+    edge-disjoint alternating trails with deficient endpoints; any
+    violation signals an engine bug and raises.  The result is a valid
+    matching exactly one edge larger per trail.
     """
     used: set[int] = set()
     for t in trails:
@@ -370,7 +415,9 @@ def rematch(
                 out.discard(e)
             else:
                 out.add(e)
-    bad = validate_matching(g, f, out)
+    # alternation keeps every interior degree; only the trail ends gain
+    ends = {v for t in trails for v in (t.root_vertex, t.terminal_vertex)}
+    bad = sorted(v for v in ends if g.degree(v, out) > f[v])
     if bad:
         raise ValueError(f"rematching violates degree bounds at {bad}")
     if len(out) != len(matching) + len(trails):

@@ -105,3 +105,15 @@ def test_cli_solve_deep_chain(tmp_path, capsys):
     )
     assert main(["solve", str(path)]) == 0
     assert capsys.readouterr().out.startswith("size 2000\n")
+
+
+@pytest.mark.xfail(
+    strict=True, raises=RecursionError, reason="route recurses once per nesting level"
+)
+def test_generated_instance_nested_past_recursion_limit(capsys):
+    # blossoms nest about 3300 deep here; _Router.route, _up_walk and
+    # _down_walk still recurse once per level
+    assert main(["gen", "5000", "20000", "3", "2"]) == 0
+    inst = parse_instance(capsys.readouterr().out)
+    report = max_f_matching(inst.g, inst.f)
+    assert report.report.ok

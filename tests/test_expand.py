@@ -1,11 +1,15 @@
+import contextlib
+import hashlib
+import io
 import random
 
 import pytest
 
+from ftrails.cli import main, parse_instance
 from ftrails.engine import StructuralError, find_trails
-from ftrails.expand import check_gtrail, expand_all, pi_trail, rematch
+from ftrails.expand import GTrail, _Router, check_gtrail, expand_all, pi_trail, rematch
 from ftrails.multigraph import Multigraph, deficiency
-from helpers import random_instance, random_valid_matching, validate_blossoms
+from helpers import all_records, random_instance, random_valid_matching, validate_blossoms
 
 
 def triangle_blossom_result():
@@ -141,9 +145,72 @@ def test_rematch_rejects_overlapping_trails():
 
 
 def test_rematch_rejects_non_alternating():
-    from ftrails.expand import GTrail
-
     g = Multigraph(3, [(0, 1), (1, 2)])
     bogus = GTrail(root_vertex=0, terminal_vertex=2, steps=((0, 0, 1), (1, 1, 2)))
     with pytest.raises(ValueError):
         rematch(g, [1, 1, 1], set(), [bogus])
+
+
+def test_rematch_rejects_trail_ending_at_saturated_vertex():
+    # vertex 1 is saturated by edge 1; a one-edge "trail" onto it
+    # alternates, but flipping it pushes vertex 1 over its bound
+    g = Multigraph(3, [(0, 1), (1, 2)])
+    bogus = GTrail(root_vertex=0, terminal_vertex=1, steps=((0, 0, 1),))
+    with pytest.raises(ValueError, match=r"rematching violates degree bounds at \[1\]"):
+        rematch(g, [1, 1, 1], {1}, [bogus])
+
+
+@pytest.mark.parametrize("e", [-1, 2])
+def test_rematch_rejects_unknown_edge_id(e):
+    g = Multigraph(2, [(0, 1), (0, 1)])
+    bogus = GTrail(root_vertex=0, terminal_vertex=1, steps=((e, 0, 1),))
+    with pytest.raises(ValueError, match=f"unknown edge id {e}"):
+        rematch(g, [2, 2], set(), [bogus])
+
+
+def deep_nesting_phases():
+    """The blocking results of every phase of gen 1000 4000 3 1; the last
+    trail found crosses blossoms nested about 500 deep."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["gen", "1000", "4000", "3", "1"]) == 0
+    inst = parse_instance(buf.getvalue())
+    matching = set()
+    while True:
+        result = find_trails(inst.g, inst.f, matching)
+        yield result
+        if not result.trails:
+            return
+        matching = rematch(inst.g, inst.f, matching, expand_all(result))
+
+
+def test_expansion_pinned_on_deep_nesting():
+    # sha256 of every phase's expanded steps, recorded before expansion
+    # moved to one pre-order numbering per phase
+    digest = hashlib.sha256()
+    for result in deep_nesting_phases():
+        if result.trails:
+            digest.update(repr([t.steps for t in expand_all(result)]).encode())
+    assert digest.hexdigest() == "3e7d22a3874bc2fe9b388f4d84341be144ec6198f4c73a70e0180d8e539e5b9b"
+
+
+def test_router_numbers_each_node_once():
+    # expansion is linear because the numbering holds every node inside a
+    # root record once, and each record is one interval of it, in the
+    # order of its own iter_nodes
+    checked = 0
+    for result in deep_nesting_phases():
+        roots = list(result.blossoms.root_record.values())
+        if not roots:
+            continue
+        router = _Router(result)
+        router.locator(roots[0])
+        records = list(all_records(result))
+        inside = sum(len(seg.arcs) for rec in records for seg in rec.segments)
+        assert len(router.order) == len(set(router.order)) == len(roots) + inside
+        assert len(router.span) == len(records)
+        for rec in records:
+            lo, hi = router.span[rec]
+            assert router.order[lo:hi] == list(rec.iter_nodes())
+        checked += 1
+    assert checked
