@@ -112,7 +112,7 @@ class Forest:
     the arc count when it finishes.
     """
 
-    __slots__ = ("edge", "matched", "tail", "vertex", "search")
+    __slots__ = ("edge", "matched", "tail", "vertex")
 
     def __init__(self, cap: int = 0) -> None:
         zeros = bytes(4 * cap)
@@ -120,14 +120,12 @@ class Forest:
         self.matched = bytearray(cap)
         self.tail = array("i", zeros)
         self.vertex = array("i", zeros)
-        self.search = array("i", zeros)
 
     def trim(self, count: int) -> None:
         del self.edge[count:]
         del self.matched[count:]
         del self.tail[count:]
         del self.vertex[count:]
-        del self.search[count:]
 
     def tail_vertex(self, a: int) -> int:
         t = self.tail[a]
@@ -331,7 +329,7 @@ class _Run:
         for a in range(self.n_arcs):
             lines.append(
                 f"  arc {a}: edge={fo.edge[a]} matched={fo.matched[a]} "
-                f"tail={fo.tail[a]} vertex={fo.vertex[a]} search={fo.search[a]} "
+                f"tail={fo.tail[a]} vertex={fo.vertex[a]} "
                 f"root={self.store.find(a)}"
             )
         for root, rec in self.store.root_record.items():
@@ -360,7 +358,6 @@ class _Run:
         fmatched = forest.matched
         ftail = forest.tail
         fvertex = forest.vertex
-        fsearch = forest.search
         par = store.parent
         sz = store.size
         base_record = store.base_record
@@ -392,7 +389,6 @@ class _Run:
         fmatched[root] = 1
         ftail[root] = -1
         fvertex[root] = alpha
-        fsearch[root] = sid
         par[root] = root
         sz[root] = 1
         if check:
@@ -444,7 +440,6 @@ class _Run:
                     fmatched[child] = want
                     ftail[child] = node
                     fvertex[child] = y
-                    fsearch[child] = sid
                     par[child] = child
                     sz[child] = 1
                     if check:
@@ -545,7 +540,7 @@ class _Run:
             if popped_node >= 0:
                 if trace is not None:
                     trace(f"pop at {x} entry node {popped_node} arc {popped_arc}")
-                if check and fsearch[popped_arc] != sid:
+                if check and popped_arc < root:  # arcs are numbered in creation order
                     self._fail(f"popped BL entry {popped_arc} from an earlier search")
                 rn = store.find(node)
                 rm = store.find(popped_node)

@@ -31,6 +31,9 @@ from .multigraph import Multigraph
 
 # One traversed edge: (edge id, from-vertex, to-vertex).
 Step = tuple[int, int, int]
+# Part of a route, and whether it is traversed backwards: a step or a
+# sub-request (record, node, start_matched, seg_bound).
+Piece = tuple[bool, tuple]
 
 
 @dataclass(frozen=True)
@@ -140,145 +143,115 @@ class _Router:
         return (f.edge[a], f.vertex[a], f.tail_vertex(a))
 
     def route(
-        self,
-        rec: BlossomRecord,
-        node: int,
-        start_matched: bool,
-        seg_bound: Optional[int] = None,
-        _visited: Optional[set] = None,
-    ) -> Optional[list[Step]]:
+        self, rec: BlossomRecord, node: int, start_matched: bool, reverse: bool = False
+    ) -> list[Step]:
         """Alternating trail from node's vertex to the base vertex of rec.
 
         The first edge has the requested M-type; the last edge always has
         the M-type opposite the base edge, so the base edge extends the
         trail alternatingly.  Empty exactly when node is the base and the
-        request equals the base edge's M-type.  None when the structure
-        does not support the request.
+        request equals the base edge's M-type.  With reverse, the trail is
+        returned from the base vertex to node's vertex instead.
+
+        One loop over a stack of (reversed, piece) pairs, where a piece is
+        a step or a sub-request (record, node, start_matched, seg_bound);
+        each step is appended once.  Raises StructuralError when the
+        structure does not support the request.
         """
-        if _visited is None:
-            _visited = set()
-        key = (id(rec), node, start_matched, seg_bound)
-        if key in _visited:
-            return None
-        _visited.add(key)
+        out: list[Step] = []
+        stack: list[Piece] = [(reverse, (rec, node, start_matched, None))]
+        while stack:
+            rev, piece = stack.pop()
+            if len(piece) == 3:
+                out.append((piece[0], piece[2], piece[1]) if rev else piece)
+            elif rev:
+                stack.extend((not r, p) for r, p in self._pieces(*piece))
+            else:
+                stack.extend(reversed(self._pieces(*piece)))
+        return out
 
+    def _pieces(
+        self, rec: BlossomRecord, node: int, start_matched: bool, seg_bound: Optional[int]
+    ) -> list[Piece]:
+        """The pieces of node's first alternative whose M-type test applies:
+        base, atom up-walk, atom down-walk, tail roles, frozen child then
+        up-walk.  When none applies, those of the first other occurrence of
+        node's vertex, an equally valid start, which may not hop again."""
+        pieces = self._alternative(rec, node, start_matched, seg_bound)
+        if pieces is None:
+            vertex = self.forest.vertex[node]
+            others = [o for o in self.locator(rec).occurrences(vertex, seg_bound) if o != node]
+            if others:
+                pieces = self._alternative(rec, others[0], start_matched, seg_bound)
+            if pieces is None:
+                raise StructuralError(
+                    f"no alternating trail of start M-type {'M' if start_matched else 'U'} "
+                    f"from node {node} to base {rec.base_node}"
+                )
+        return pieces
+
+    def _alternative(
+        self, rec: BlossomRecord, node: int, start_matched: bool, seg_bound: Optional[int]
+    ) -> Optional[list[Piece]]:
         matched = self.forest.matched
-        loc = self.locator(rec)
-
         if node == rec.base_node:
-            if start_matched == matched[rec.base_node]:
-                return []
-            out = self._down_walk(rec, 0, 0, _visited)
-            if out is not None:
-                return out
-
+            return [] if start_matched == matched[node] else self._down_walk(rec, 0, 0)
+        loc = self.locator(rec)
         pos = loc.atom_pos.get(node)
         if pos is not None and (seg_bound is None or pos[0] < seg_bound):
             j, i = pos
-            seg = rec.segments[j]
-            if start_matched == matched[seg.arcs[i]]:
-                out = self._up_walk(rec, j, i, _visited)
-                if out is not None:
-                    return out
-            if i + 1 < len(seg.arcs) and start_matched == matched[seg.arcs[i + 1]]:
-                out = self._down_walk(rec, j, i + 1, _visited)
-                if out is not None:
-                    return out
-
+            arcs = rec.segments[j].arcs
+            if start_matched == matched[arcs[i]]:
+                return self._up_walk(rec, j, i)
+            if i + 1 < len(arcs) and start_matched == matched[arcs[i + 1]]:
+                return self._down_walk(rec, j, i + 1)
         for j in loc.tail_roles.get(node, ()):
-            if seg_bound is not None and j >= seg_bound:
-                continue
-            if start_matched == matched[rec.segments[j].arcs[0]]:
-                out = self._down_walk(rec, j, 0, _visited)
-                if out is not None:
-                    return out
-
+            first = rec.segments[j].arcs[0]
+            if (seg_bound is None or j < seg_bound) and start_matched == matched[first]:
+                return self._down_walk(rec, j, 0)
         pos = loc.child_pos(node)
         if pos is not None and (seg_bound is None or pos[0] < seg_bound):
             j, i = pos
             child = rec.segments[j].children[i]
-            sub = self.route(child, node, start_matched, None, _visited)
-            if sub is not None:
-                out = self._up_walk(rec, j, i, _visited)
-                if out is not None:
-                    return sub + out
-
-        # Any other occurrence of the same vertex gives an equally valid
-        # trail from that vertex.
-        for other in loc.occurrences(self.forest.vertex[node], seg_bound):
-            if other == node:
-                continue
-            out = self.route(rec, other, start_matched, seg_bound, _visited)
-            if out is not None:
-                return out
+            return [(False, (child, node, start_matched, None))] + self._up_walk(rec, j, i)
         return None
 
-    def _up_walk(self, rec: BlossomRecord, j: int, i: int, visited: set) -> Optional[list[Step]]:
+    def _up_walk(self, rec: BlossomRecord, j: int, i: int) -> list[Piece]:
         forest = self.forest
         seg = rec.segments[j]
         arcs, children = seg.arcs, seg.children
-        steps: list[Step] = []
-        k = i
-        while True:
-            steps.append(self._up(arcs[k]))
-            if k == 0:
-                break
-            below = children[k - 1]
+        pieces: list[Piece] = [(False, self._up(arcs[i]))]
+        for k in range(i, 0, -1):
+            below, a = children[k - 1], arcs[k]
             if below is not None:
-                sub = self.route(
-                    below, forest.tail[arcs[k]], not forest.matched[arcs[k]], None, visited
-                )
-                if sub is None:
-                    return None
-                steps.extend(sub)
-            k -= 1
-        if j == 0:
-            return steps
-        cont = self.route(rec, seg.start_node, not forest.matched[arcs[0]], j, visited)
-        if cont is None:
-            return None
-        return steps + cont
+                pieces.append((False, (below, forest.tail[a], not forest.matched[a], None)))
+            pieces.append((False, self._up(arcs[k - 1])))
+        if j:
+            pieces.append((False, (rec, seg.start_node, not forest.matched[arcs[0]], j)))
+        return pieces
 
-    def _down_walk(self, rec: BlossomRecord, j: int, i: int, visited: set) -> Optional[list[Step]]:
+    def _down_walk(self, rec: BlossomRecord, j: int, i: int) -> list[Piece]:
         forest = self.forest
         seg = rec.segments[j]
         arcs, children = seg.arcs, seg.children
         last = len(arcs) - 1
-        steps: list[Step] = []
+        pieces: list[Piece] = []
         for k in range(i, last + 1):
-            steps.append(self._down(arcs[k]))
+            pieces.append((False, self._down(arcs[k])))
             if k < last and children[k] is not None:
-                sub = self.route(
-                    children[k],
-                    forest.tail[arcs[k + 1]],
-                    not forest.matched[arcs[k + 1]],
-                    None,
-                    visited,
-                )
-                if sub is None:
-                    return None
-                steps.extend(_reversed_steps(sub))
+                a = arcs[k + 1]
+                pieces.append((True, (children[k], forest.tail[a], not forest.matched[a], None)))
         final = children[last]
-        if j == 0:
-            if final is None:
-                return steps
+        if j:
+            pieces.append((False, (rec, seg.closure_node, not forest.matched[arcs[last]], j)))
+        elif final is not None:
             # skew closure: dive into the final sub-blossom and stop at an
             # occurrence of the base vertex
-            want = not forest.matched[rec.base_node]
-            base_vertex = forest.vertex[rec.base_node]
-            for occ in self.locator(final).occurrences(base_vertex):
-                sub = self.route(final, occ, want, None, visited)
-                if sub is not None:
-                    return steps + _reversed_steps(sub)
-            return None
-        cont = self.route(rec, seg.closure_node, not forest.matched[arcs[last]], j, visited)
-        if cont is None:
-            return None
-        return steps + cont
-
-
-def _reversed_steps(steps: list[Step]) -> list[Step]:
-    return [(e, v, u) for (e, u, v) in reversed(steps)]
+            occ = self.locator(final).occurrences(forest.vertex[rec.base_node])
+            if not occ:
+                raise StructuralError(f"skew closure at base {rec.base_node} lacks its vertex")
+            pieces.append((True, (final, occ[0], not forest.matched[rec.base_node], None)))
+        return pieces
 
 
 def pi_trail(
@@ -294,15 +267,7 @@ def pi_trail(
     the trail alternating.  Raises StructuralError when the blossom's
     recorded structure cannot supply the requested M-type at node.
     """
-    if router is None:
-        router = _Router(result)
-    out = router.route(rec, node, start_matched)
-    if out is None:
-        raise StructuralError(
-            f"no alternating trail of start M-type {'M' if start_matched else 'U'} "
-            f"from node {node} to base {rec.base_node}"
-        )
-    return out
+    return (router or _Router(result)).route(rec, node, start_matched)
 
 
 def expand_trail(result: BlockingResult, trail: Trail, router: Optional[_Router] = None) -> GTrail:
@@ -317,20 +282,14 @@ def expand_trail(result: BlockingResult, trail: Trail, router: Optional[_Router]
         t = forest.tail[a]
         rec = store.root_record.get(store.find(t))
         if rec is not None:
-            sub = router.route(rec, t, not forest.matched[a])
-            if sub is None:
-                raise StructuralError(f"cannot cross blossom at base {rec.base_node}")
-            steps.extend(_reversed_steps(sub))
+            steps += router.route(rec, t, not forest.matched[a], reverse=True)
         steps.append((forest.edge[a], forest.tail_vertex(a), forest.vertex[a]))
 
     if forest.matched[trail.final_arc]:
         raise StructuralError("trail terminates on a matched arc")
     rec = store.root_record.get(store.find(trail.final_node))
     if rec is not None:
-        sub = router.route(rec, trail.final_node, False)
-        if sub is None:
-            raise StructuralError("cannot reach the trail terminal inside its blossom")
-        steps.extend(_reversed_steps(sub))
+        steps += router.route(rec, trail.final_node, False, reverse=True)
     elif trail.final_node != (trail.arcs[-1] if trail.arcs else -1):
         raise StructuralError("atomic trail terminal is not the last trail arc")
 

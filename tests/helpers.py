@@ -7,7 +7,8 @@ import random
 from ftrails.engine import BlockingResult, StructuralError, find_trails
 from ftrails.expand import _Router, check_gtrail, expand_all, pi_trail, rematch
 from ftrails.multigraph import Multigraph, validate_matching
-from ftrails.oracle import brute_alternating_trail
+
+from oracle import brute_alternating_trail
 
 
 def random_instance(rng: random.Random, n_max: int, m_max: int, f_max: int):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .multigraph import Multigraph, validate_matching
+from ftrails.multigraph import Multigraph, validate_matching
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from ftrails.certificate import bound_value, residual_graph, verify
 from ftrails.engine import CheckFailure, find_trails
 from ftrails.expand import check_gtrail, expand_all, rematch
 from ftrails.multigraph import Multigraph
-from ftrails.oracle import OracleLimit, brute_max, has_augmenting_trail
 from ftrails.substitute import HEAVY, LIGHT
 from helpers import (
     blossom_gadget_config,
@@ -33,6 +32,7 @@ from helpers import (
     subgraph,
     validate_blossoms,
 )
+from oracle import OracleLimit, brute_max, has_augmenting_trail
 
 SCALE = float(os.environ.get("FTRAILS_ACCEPT_SCALE", "1"))
 ORACLE14 = OracleLimit(max_edges=14, max_trail_len=14)

@@ -14,8 +14,8 @@ from ftrails.certificate import (
 )
 from ftrails.engine import find_trails
 from ftrails.multigraph import Multigraph
-from ftrails.oracle import OracleLimit, brute_max
 from helpers import random_instance, random_valid_matching, subgraph
+from oracle import OracleLimit, brute_max
 
 WIDE = OracleLimit(max_edges=13, max_trail_len=13)
 

@@ -61,6 +61,66 @@ def test_pi_trail_corrupted_store_raises():
         pi_trail(result, stranded, rec, missing_parity)
 
 
+def test_pi_trail_raises_when_the_hop_target_needs_a_second_hop():
+    # after the truncation both remaining arcs carry vertex 2 and are
+    # matched: an unmatched start at the second has no alternative, nor
+    # has the first, the other occurrence it hops to
+    _g, result, rec = triangle_blossom_result()
+    forest = result.forest
+    seg = rec.segments[0]
+    seg.arcs.pop()
+    seg.children.pop()
+    first, stranded = seg.arcs
+    forest.vertex[first] = forest.vertex[stranded]
+    forest.matched[first] = forest.matched[stranded]
+    with pytest.raises(StructuralError, match="no alternating trail"):
+        pi_trail(result, stranded, rec, not forest.matched[stranded])
+
+
+def test_pi_trail_raises_when_a_skew_closure_misses_the_base_vertex():
+    # the closed trail ends inside a frozen sub-blossom (a skew closure);
+    # relabelling that child's occurrences of the base vertex leaves the
+    # closure nowhere to stop
+    g = Multigraph(5, [(0, 3), (4, 4), (3, 4), (4, 1), (4, 0), (0, 4)])
+    result = find_trails(g, [1, 1, 1, 2, 2], {2, 5}, check=True)
+    forest = result.forest
+    rec = next(r for r in all_records(result) if r.segments[0].children[-1] is not None)
+    base_vertex = forest.vertex[rec.base_node]
+    for node in rec.segments[0].children[-1].iter_nodes():
+        if forest.vertex[node] == base_vertex:
+            forest.vertex[node] = (base_vertex + 1) % g.n
+    with pytest.raises(StructuralError, match="skew closure"):
+        pi_trail(result, rec.base_node, rec, not forest.matched[rec.base_node])
+
+
+def pi_trail_digest(seed: int, count: int) -> str:
+    """sha256 of pi_trail at both parities for every node of every record,
+    in every phase of count seeded small random instances."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(count):
+        g, f = random_instance(rng, 10, 20, 3)
+        m = random_valid_matching(rng, g, f)
+        while True:
+            result = find_trails(g, f, m)
+            router = _Router(result)
+            for rec in all_records(result):
+                for node in sorted(set(rec.iter_nodes())):
+                    for start_matched in (False, True):
+                        steps = pi_trail(result, node, rec, start_matched, router)
+                        digest.update(repr(steps).encode())
+            if not result.trails:
+                break
+            m = rematch(g, f, m, expand_all(result))
+    return digest.hexdigest()
+
+
+def test_pi_trail_pinned_on_randoms():
+    # recorded while route still recursed and backtracked; some of these
+    # requests are served through another occurrence of the same vertex
+    assert pi_trail_digest(8, 400) == "51c9dbdcd81d7d1eeb96f669323a1a240798ef39f61b8948e4293b435c8f46f4"
+
+
 def test_expand_identity_without_blossoms():
     g = Multigraph(4, [(0, 1), (1, 2), (2, 3)])
     result = find_trails(g, [1, 1, 1, 1], {1}, check=True)

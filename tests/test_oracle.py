@@ -3,13 +3,13 @@ import random
 import pytest
 
 from ftrails.multigraph import Multigraph, validate_matching
-from ftrails.oracle import (
+from helpers import random_instance, random_valid_matching
+from oracle import (
     OracleLimit,
     brute_alternating_trail,
     brute_max,
     has_augmenting_trail,
 )
-from helpers import random_instance, random_valid_matching
 
 WIDE = OracleLimit(max_edges=13, max_trail_len=13)
 
