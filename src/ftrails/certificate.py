@@ -15,10 +15,13 @@ everything and checks tightness piece by piece.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import compress
+from operator import and_, or_, xor
+from typing import NamedTuple, Optional
 
-from .engine import BlockingResult
+from .engine import _FLIP, BlockingResult
 from .expand import expand_all
 from .multigraph import Multigraph
 
@@ -64,6 +67,194 @@ class CertificateReport:
     certificate: Optional[Certificate] = None
 
 
+# Vertex codes of a labelling, one byte per vertex.  bound_value gives
+# every vertex outside I and O the code of a complete-blossom member, so
+# only verify meets orphans.
+_IN_COMPLETE, _INNER, _OUTER, _ORPHAN = 0, 1, 2, 3
+_LABEL: tuple[Optional[str], ...] = (None, "I", "O", None)
+_KIND: tuple[Optional[str], ...] = (IN_COMPLETE_BLOSSOM, None, None, ORPHAN)
+_IS_INNER = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x01\x00\x00")
+_IS_UNLABELED = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x00\x00\x01")
+
+
+def _bytewise(op, a: bytes, b: bytes) -> bytes:
+    """op applied bytewise to two 0/1 flag arrays of equal length."""
+    return op(int.from_bytes(a, "big"), int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def _walk_complete(result: BlockingResult) -> tuple[bytearray, bytearray, set[tuple[int, int]]]:
+    """One walk over the maximal complete blossoms: flags of the vertices
+    they hold and of the edges inside them, and their (base vertex, base
+    edge) pairs."""
+    forest = result.forest
+    vertex, edge = forest.vertex, forest.edge
+    in_complete = bytearray(result.g.n)
+    inside = bytearray(result.g.m)
+    bases: set[tuple[int, int]] = set()
+    for rec in result.blossoms.maximal_complete():
+        base = rec.base_node
+        bases.add((vertex[base], edge[base]))
+        in_complete[vertex[base]] = 1
+        for a in rec.iter_arcs():
+            in_complete[vertex[a]] = 1
+            inside[edge[a]] = 1
+    return in_complete, inside, bases
+
+
+def _codes(result: BlockingResult, in_complete: bytearray) -> bytearray:
+    """The vertex codes: inner or outer by the M-type of the first returned
+    invocation, unless the vertex is in a complete blossom or never returned."""
+    matched = result.forest.matched
+    code = bytearray(len(in_complete))
+    for v, a in enumerate(result.e1_arc):
+        if in_complete[v]:
+            continue
+        code[v] = _ORPHAN if a < 0 else _OUTER if matched[a] else _INNER
+    return code
+
+
+def _labeling(code: bytearray) -> Labeling:
+    return Labeling(list(map(_LABEL.__getitem__, code)), list(map(_KIND.__getitem__, code)))
+
+
+def _residual(
+    result: BlockingResult, inside: bytearray
+) -> tuple[bytes, bytes, bytearray, list[int]]:
+    """Flags of the residual edges, of the residual matching and of the
+    matching the run started from, and f'."""
+    g = result.g
+    m = g.m
+    trail = bytearray(m)
+    for t in expand_all(result):
+        for e, _u, _v in t.steps:
+            trail[e] = 1
+    before = bytearray(m)
+    for e in result.matching:
+        before[e] = 1
+    residual = _bytewise(or_, trail.translate(_FLIP), inside)
+    matched = _bytewise(and_, _bytewise(xor, before, trail), residual)
+    f_prime = list(result.def_final)
+    for u, v in map(g.edges.__getitem__, compress(range(m), matched)):
+        f_prime[u] += 1
+        f_prime[v] += 1
+    return residual, matched, before, f_prime
+
+
+class _OddSet(NamedTuple):
+    """The odd-set expression's pieces over a set of edges, per labelling."""
+
+    f_inner: int  # f summed over I
+    gamma_o: int  # edges with both ends in O
+    components: list[list[int]]  # of the unlabelled vertices, sorted
+    comp_f: list[int]  # f summed over each component
+    comp_cross: list[int]  # edges between each component and O
+    comp_matched: list[int]  # matched edges inside or leaving each component, I excluded
+    matched_inner: int  # matched edges with an end in I
+    inner_pairs: list[int]  # matched edges with both ends in I
+    open_outer: list[int]  # unmatched edges with both ends in O
+    # edges with exactly one orphan end whose other end is labelled with
+    # the wrong first-return M-type, or lies in a complete blossom the edge
+    # does not enter by its base edge
+    orphan_mistyped: list[int]
+    orphan_off_base: list[int]
+
+    @property
+    def bound(self) -> int:
+        return self.f_inner + self.gamma_o + sum(
+            (fc + cross) // 2 for fc, cross in zip(self.comp_f, self.comp_cross)
+        )
+
+
+def _odd_set(
+    g: Multigraph,
+    f: list[int],
+    code: bytearray,
+    edges,
+    matched: bytes,
+    before: bytes = b"",
+    bases: Container[tuple[int, int]] = frozenset(),
+) -> _OddSet:
+    """One pass over the given edge ids, then one over the unlabelled
+    vertices, under the vertex codes and the matched-edge flags.
+
+    Only verify's codes have orphans; their edges are checked against the
+    flags of the matching before the run and the complete blossoms'
+    (base vertex, base edge) pairs.  The components come from a
+    union-find over the edges between unlabelled vertices; the pass
+    allocates no object per edge.
+    """
+    n = g.n
+    ends = g.edges
+    cross = [0] * n  # per unlabelled vertex
+    hits = [0] * n
+    root = list(range(n))
+    gamma_o = matched_inner = 0
+    inner_pairs: list[int] = []
+    open_outer: list[int] = []
+    orphan_mistyped: list[int] = []
+    orphan_off_base: list[int] = []
+    for e in edges:
+        u, v = ends[e]
+        cu, cv = code[u], code[v]
+        if (cu == _ORPHAN) != (cv == _ORPHAN):
+            y, cy = (v, cv) if cu == _ORPHAN else (u, cu)
+            if cy == _IN_COMPLETE:
+                if (y, e) not in bases:
+                    orphan_off_base.append(e)
+            elif before[e] != (cy == _OUTER):
+                orphan_mistyped.append(e)
+        if cu == _INNER or cv == _INNER:
+            if matched[e]:
+                matched_inner += 1
+                if cu == cv:
+                    inner_pairs.append(e)
+        elif cu == _OUTER:
+            if cv == _OUTER:
+                gamma_o += 1
+                if not matched[e]:
+                    open_outer.append(e)
+            else:
+                cross[v] += 1
+                hits[v] += matched[e]
+        elif cv == _OUTER:
+            cross[u] += 1
+            hits[u] += matched[e]
+        else:
+            hits[u] += matched[e]
+            while root[u] != u:
+                root[u] = u = root[root[u]]
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            root[u] = v
+
+    components: list[list[int]] = []
+    comp_f: list[int] = []
+    comp_cross: list[int] = []
+    comp_matched: list[int] = []
+    comp_of = [-1] * n  # per union-find root
+    for s in compress(range(n), code.translate(_IS_UNLABELED)):
+        r = s
+        while root[r] != r:
+            root[r] = r = root[root[r]]
+        cid = comp_of[r]
+        if cid < 0:
+            comp_of[r] = len(components)
+            components.append([s])
+            comp_f.append(f[s])
+            comp_cross.append(cross[s])
+            comp_matched.append(hits[s])
+        else:
+            components[cid].append(s)
+            comp_f[cid] += f[s]
+            comp_cross[cid] += cross[s]
+            comp_matched[cid] += hits[s]
+    f_inner = sum(compress(f, code.translate(_IS_INNER)))
+    return _OddSet(
+        f_inner, gamma_o, components, comp_f, comp_cross, comp_matched,
+        matched_inner, inner_pairs, open_outer, orphan_mistyped, orphan_off_base,
+    )
+
+
 def residual_graph(result: BlockingResult) -> ResidualGraph:
     """The graph left over after removing the trails, blossoms retained.
 
@@ -73,26 +264,11 @@ def residual_graph(result: BlockingResult) -> ResidualGraph:
     residual edges, and the residual degree bound at x is its residual
     matched degree plus its final deficiency.
     """
-    g = result.g
-    trail_edges: set[int] = set()
-    for t in expand_all(result):
-        trail_edges.update(t.edges)
-
-    blossom_edges: set[int] = set()
-    forest = result.forest
-    for rec in result.blossoms.maximal_complete():
-        for a in rec.iter_arcs():
-            blossom_edges.add(forest.edge[a])
-
-    residual = (set(range(g.m)) - trail_edges) | blossom_edges
-    post = set(result.matching) ^ trail_edges
-    m_rg = post & residual
-    f_prime = list(result.def_final)
-    for e in m_rg:
-        u, v = g.edges[e]
-        f_prime[u] += 1
-        f_prime[v] += 1
-    return ResidualGraph(frozenset(residual), frozenset(m_rg), f_prime)
+    residual, matched, _before, f_prime = _residual(result, _walk_complete(result)[1])
+    ids = range(result.g.m)
+    return ResidualGraph(
+        frozenset(compress(ids, residual)), frozenset(compress(ids, matched)), f_prime
+    )
 
 
 def compute_labels(result: BlockingResult) -> Labeling:
@@ -102,51 +278,7 @@ def compute_labels(result: BlockingResult) -> Labeling:
     does not occur in any complete blossom; otherwise it is unlabelled,
     classified as a complete-blossom member or an orphan.
     """
-    g = result.g
-    forest = result.forest
-    in_complete = [False] * g.n
-    for rec in result.blossoms.maximal_complete():
-        for nd in rec.iter_nodes():
-            in_complete[forest.vertex[nd]] = True
-
-    label: list[Optional[str]] = [None] * g.n
-    kind: list[Optional[str]] = [None] * g.n
-    for v in range(g.n):
-        if result.e1_arc[v] >= 0 and not in_complete[v]:
-            label[v] = "O" if forest.matched[result.e1_arc[v]] else "I"
-        elif in_complete[v]:
-            kind[v] = IN_COMPLETE_BLOSSOM
-        else:
-            kind[v] = ORPHAN
-    return Labeling(label, kind)
-
-
-def _components(g: Multigraph, edges, unlabeled: list[bool]) -> tuple[list[list[int]], list[int]]:
-    """Connected components of the unlabelled vertices over the given edges."""
-    comp = [-1] * g.n
-    comps: list[list[int]] = []
-    adj: dict[int, list[int]] = {}
-    for e in edges:
-        u, v = g.edges[e]
-        if unlabeled[u] and unlabeled[v] and u != v:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-    for s in range(g.n):
-        if not unlabeled[s] or comp[s] >= 0:
-            continue
-        cid = len(comps)
-        stack = [s]
-        comp[s] = cid
-        members = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj.get(u, ()):
-                if comp[w] < 0:
-                    comp[w] = cid
-                    stack.append(w)
-                    members.append(w)
-        comps.append(sorted(members))
-    return comps, comp
+    return _labeling(_codes(result, _walk_complete(result)[0]))
 
 
 def bound_value(
@@ -163,30 +295,17 @@ def bound_value(
     """
     if inner & outer:
         raise ValueError("I and O overlap")
+    for v in inner | outer:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    code = bytearray(g.n)
+    for v in inner:
+        code[v] = _INNER
+    for v in outer:
+        code[v] = _OUTER
     if edges is None:
         edges = range(g.m)
-    unlabeled = [v not in inner and v not in outer for v in range(g.n)]
-    comps, comp = _components(g, edges, unlabeled)
-
-    gamma_o = 0
-    cross = [0] * len(comps)
-    for e in edges:
-        u, v = g.edges[e]
-        if u in inner or v in inner:
-            continue
-        u_out = u in outer
-        v_out = v in outer
-        if u_out and v_out:
-            gamma_o += 1
-        elif u_out != v_out:
-            cv = comp[v if u_out else u]
-            cross[cv] += 1
-
-    total = sum(f[v] for v in inner) + gamma_o
-    for cid, members in enumerate(comps):
-        fc = sum(f[v] for v in members)
-        total += (fc + cross[cid]) // 2
-    return total
+    return _odd_set(g, f, code, edges, bytes(g.m)).bound
 
 
 def verify(result: BlockingResult) -> CertificateReport:
@@ -196,98 +315,61 @@ def verify(result: BlockingResult) -> CertificateReport:
     residual edge, that outer-outer residual edges are matched, that each
     unlabelled component meets its rounded term exactly, and that the
     bound equals the residual matching size.
+
+    Everything comes from the result alone: one walk over the maximal
+    complete blossoms, flag arrays for the trail, matching and residual
+    edges, and one pass over the residual edges.
     """
     g = result.g
-    forest = result.forest
-    rg = residual_graph(result)
-    labeling = compute_labels(result)
-    inner, outer = labeling.inner, labeling.outer
-    unlabeled = [labeling.label[v] is None for v in range(g.n)]
-    comps, comp = _components(g, rg.edges, unlabeled)
+    in_complete, inside, complete_bases = _walk_complete(result)
+    code = _codes(result, in_complete)
+    residual, matched, before, f_prime = _residual(result, inside)
+    odd = _odd_set(
+        g, f_prime, code, compress(range(g.m), residual), matched, before, complete_bases
+    )
 
-    failures: list[str] = []
-
-    for v in inner:
-        if result.def_final[v] != 0:
-            failures.append(f"inner vertex {v} is deficient")
-
-    gamma_o = 0
-    cross = [0] * len(comps)
-    matched_inner = 0
-    matched_cross = [0] * len(comps)
-    for e in rg.edges:
-        u, v = g.edges[e]
-        in_m = e in rg.matching
-        if u in inner or v in inner:
-            if in_m:
-                matched_inner += 1
-                if u in inner and v in inner:
-                    failures.append(f"matched residual edge {e} joins two inner vertices")
-            continue
-        u_out, v_out = u in outer, v in outer
-        if u_out and v_out:
-            gamma_o += 1
-            if not in_m:
-                failures.append(f"unmatched residual edge {e} joins two outer vertices")
-        elif u_out != v_out:
-            cid = comp[v if u_out else u]
-            cross[cid] += 1
-            if in_m:
-                matched_cross[cid] += 1
-        elif in_m:
-            cid = comp[u]
-            matched_cross[cid] += 1
-
-    f_inner = sum(rg.f_prime[v] for v in inner)
-    if matched_inner != f_inner:
+    def_final = result.def_final
+    failures = [
+        f"inner vertex {v} is deficient"
+        for v in compress(range(g.n), code.translate(_IS_INNER))
+        if def_final[v] != 0
+    ]
+    failures += [f"matched residual edge {e} joins two inner vertices" for e in odd.inner_pairs]
+    failures += [f"unmatched residual edge {e} joins two outer vertices" for e in odd.open_outer]
+    if odd.matched_inner != odd.f_inner:
         failures.append(
-            f"inner vertices carry {matched_inner} matched residual edges, expected {f_inner}"
+            f"inner vertices carry {odd.matched_inner} matched residual edges, "
+            f"expected {odd.f_inner}"
         )
-
-    bound = f_inner + gamma_o
-    for cid, members in enumerate(comps):
-        fc = sum(rg.f_prime[v] for v in members)
-        term = (fc + cross[cid]) // 2
-        bound += term
-        ends = 2 * matched_cross[cid]
-        eps = fc + cross[cid] - ends
-        if eps not in (0, 1) or matched_cross[cid] != term:
+    for members, fc, cross, hits in zip(
+        odd.components, odd.comp_f, odd.comp_cross, odd.comp_matched
+    ):
+        term = (fc + cross) // 2
+        if fc + cross - 2 * hits not in (0, 1) or hits != term:
             failures.append(
-                f"component {members} has {matched_cross[cid]} matched edges "
-                f"against bound term {term}"
+                f"component {members} has {hits} matched edges against bound term {term}"
             )
 
-    residual_size = len(rg.matching)
+    bound = odd.bound
+    residual_size = matched.count(1)
     if bound != residual_size:
         failures.append(f"bound {bound} != residual matching size {residual_size}")
 
     # structure around orphans: a residual edge leaving an orphan either
     # agrees with the labelled end's first-return M-type or is the base
     # edge of a complete blossom based at the unlabelled end
-    orphan = [labeling.unlabeled_kind[v] == ORPHAN for v in range(g.n)]
-    complete_bases = {
-        (forest.vertex[rec.base_node], forest.edge[rec.base_node])
-        for rec in result.blossoms.maximal_complete()
-    }
-    for e in rg.edges:
-        u, v = g.edges[e]
-        for x, y in ((u, v), (v, u)):
-            if not orphan[x] or orphan[y]:
-                continue
-            if labeling.label[y] is not None:
-                e1 = result.e1_arc[y]
-                if (e in result.matching) != forest.matched[e1]:
-                    failures.append(
-                        f"orphan edge {e} disagrees with e1's M-type at vertex {y}"
-                    )
-            elif (y, e) not in complete_bases:
-                failures.append(
-                    f"orphan edge {e} enters a complete blossom off its base edge"
-                )
+    ends = g.edges
+    for e in odd.orphan_mistyped:
+        u, v = ends[e]
+        y = u if code[v] == _ORPHAN else v
+        failures.append(f"orphan edge {e} disagrees with e1's M-type at vertex {y}")
+    failures += [
+        f"orphan edge {e} enters a complete blossom off its base edge" for e in odd.orphan_off_base
+    ]
 
     cert = Certificate(
-        labeling=labeling,
-        components=comps,
+        labeling=_labeling(code),
+        components=odd.components,
         bound=bound,
         residual_size=residual_size,
     )

@@ -28,9 +28,8 @@ from .certificate import (
     parse_certificate,
     verify,
 )
-from .engine import CheckFailure, StructuralError, find_trails
-from .expand import expand_all, rematch
-from .driver import max_f_matching
+from .engine import CheckFailure, StructuralError
+from .driver import max_f_matching, run_phase
 from .multigraph import Multigraph, validate_matching
 
 
@@ -124,16 +123,11 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_block(args: argparse.Namespace, out: TextIO) -> int:
     inst = _load(args.instance)
     trace = (lambda s: print(s, file=sys.stderr)) if args.trace else None
-    result = find_trails(inst.g, inst.f, inst.matching, check=args.check, trace=trace)
-    trails = expand_all(result)
+    result, trails, rematched = run_phase(inst.g, inst.f, inst.matching, args.check, trace)
     print(f"trails {len(trails)}", file=out)
     for t in trails:
         print(" ".join(str(e + 1) for e in t.edges), file=out)
-    if trails:
-        rematched = rematch(inst.g, inst.f, inst.matching, trails)
-        print(f"size {len(rematched)}", file=out)
-    else:
-        print(f"size {len(inst.matching)}", file=out)
+    print(f"size {len(rematched)}", file=out)
     report = verify(result)
     print(f"bound {report.bound}", file=out)
     print(f"residual {report.residual_size}", file=out)
@@ -215,6 +209,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nests deeper than the interpreter's recursion limit", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except (CheckFailure, StructuralError) as ex:
         print(f"verification failure: {ex}", file=sys.stderr)

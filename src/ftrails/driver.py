@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .certificate import Certificate, CertificateReport, verify
-from .engine import StructuralError, find_trails
-from .expand import expand_all, rematch
+from .engine import BlockingResult, StructuralError, find_trails
+from .expand import GTrail, expand_all, rematch
 from .multigraph import Multigraph, validate_matching
 
 
@@ -25,6 +25,23 @@ class SolveReport:
     trail_counts: list[int]
     certificate: Certificate
     report: CertificateReport
+
+
+def run_phase(
+    g: Multigraph,
+    f: list[int],
+    matching: set[int],
+    check: bool = False,
+    trace: Optional[Callable[[str], None]] = None,
+) -> tuple[BlockingResult, list[GTrail], set[int]]:
+    """One blocking phase: find the trails, expand them and rematch.
+
+    Returns the contracted run (for verify), the expanded trails and the
+    rematched matching, a new set even when no trail was found.
+    """
+    result = find_trails(g, f, matching, check=check, trace=trace)
+    trails = expand_all(result)
+    return result, trails, rematch(g, f, matching, trails)
 
 
 def max_f_matching(
@@ -59,8 +76,8 @@ def max_f_matching(
     phi = sum(f)
     trail_counts: list[int] = []
     while True:
-        result = find_trails(g, f, matching, check=check, trace=trace)
-        if not result.trails:
+        result, trails, rematched = run_phase(g, f, matching, check, trace)
+        if not trails:
             report = verify(result)
             if not report.ok:
                 raise StructuralError(
@@ -73,8 +90,7 @@ def max_f_matching(
                 certificate=report.certificate,
                 report=report,
             )
-        trails = expand_all(result)
-        matching = rematch(g, f, matching, trails)
+        matching = rematched
         trail_counts.append(len(trails))
         if len(trail_counts) > phi // 2 + 1:
             raise StructuralError("phase count exceeded the termination bound")

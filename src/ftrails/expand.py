@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .engine import (
@@ -314,32 +315,39 @@ def expand_all(result: BlockingResult) -> list[GTrail]:
 
 def check_gtrail(g: Multigraph, matching: set[int], trail: GTrail) -> list[str]:
     """Violations of trail validity: alternation, connectivity, distinctness."""
+    return _trail_problems(g, matching.__contains__, trail)
+
+
+def _trail_problems(g: Multigraph, is_matched, trail: GTrail) -> list[str]:
+    """check_gtrail's problems, with is_matched(e) telling the M-type of e."""
     problems: list[str] = []
     steps = trail.steps
     if not steps:
         return ["empty trail"]
+    ends = g.edges
+    m = len(ends)
     seen: set[int] = set()
     prev_matched = None
     at = trail.root_vertex
     for e, u, v in steps:
         if u != at:
             problems.append(f"edge {e} does not continue the trail at {at}")
-        if not 0 <= e < g.m:
+        if not 0 <= e < m:
             return problems + [f"unknown edge id {e}"]
-        uu, vv = g.edges[e]
-        if {uu, vv} != {u, v}:
+        uv = ends[e]
+        if uv != (u, v) and uv != (v, u):
             problems.append(f"edge {e} is not between {u} and {v}")
         if e in seen:
             problems.append(f"edge {e} repeats")
         seen.add(e)
-        em = e in matching
-        if prev_matched is not None and em == prev_matched:
+        em = is_matched(e)
+        if em == prev_matched:
             problems.append(f"no alternation entering edge {e}")
         prev_matched = em
         at = v
     if at != trail.terminal_vertex:
         problems.append("trail does not end at its terminal vertex")
-    if steps[0][0] in matching or steps[-1][0] in matching:
+    if is_matched(steps[0][0]) or is_matched(steps[-1][0]):
         problems.append("extreme edge is matched")
     return problems
 
@@ -357,23 +365,22 @@ def rematch(
     violation signals an engine bug and raises.  The result is a valid
     matching exactly one edge larger per trail.
     """
-    used: set[int] = set()
+    # flags, not sets, for the M-types and the edges taken: probing a set
+    # this large costs more than indexing bytes
+    matched = bytearray(g.m)
+    for e in matching:
+        matched[e] = 1
+    is_matched = matched.__getitem__
+    flipped = bytearray(g.m)
     for t in trails:
-        problems = check_gtrail(g, matching, t)
+        problems = _trail_problems(g, is_matched, t)
         if problems:
             raise ValueError(f"invalid augmenting trail: {problems[0]}")
-        for e in t.edges:
-            if e in used:
+        for e, _u, _v in t.steps:
+            if flipped[e]:
                 raise ValueError(f"trails are not edge-disjoint: edge {e}")
-            used.add(e)
-
-    out = set(matching)
-    for t in trails:
-        for e in t.edges:
-            if e in out:
-                out.discard(e)
-            else:
-                out.add(e)
+            flipped[e] = 1
+    out = matching.symmetric_difference(compress(range(g.m), flipped))
     # alternation keeps every interior degree; only the trail ends gain
     ends = {v for t in trails for v in (t.root_vertex, t.terminal_vertex)}
     bad = sorted(v for v in ends if g.degree(v, out) > f[v])

@@ -46,10 +46,6 @@ class Multigraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def is_loop(self, e: int) -> bool:
-        u, v = self.edges[e]
-        return u == v
-
     def other_end(self, e: int, v: int) -> int:
         """The endpoint of edge e opposite v (v itself for a loop)."""
         a, b = self.edges[e]
@@ -60,10 +56,11 @@ class Multigraph:
 
         Loops count twice.
         """
+        edges = self.edges
         d = 0
-        for e in self.incidence[v]:
-            if e in members:
-                d += 2 if self.is_loop(e) else 1
+        for e in filter(members.__contains__, self.inc_flat[self.inc_off[v] : self.inc_off[v + 1]]):
+            a, b = edges[e]
+            d += 2 if a == b else 1
         return d
 
     def __repr__(self) -> str:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 
+from ftrails.cli import main, parse_instance
 from ftrails.engine import BlockingResult, StructuralError, find_trails
 from ftrails.expand import _Router, check_gtrail, expand_all, pi_trail, rematch
 from ftrails.multigraph import Multigraph, validate_matching
@@ -49,6 +52,22 @@ def run_phases(g, f, matching, check=True):
             problems = check_gtrail(g, current, t)
             assert not problems, problems
         current = rematch(g, f, current, trails)
+
+
+def deep_nesting_phases():
+    """The blocking results of every phase of gen 1000 4000 3 1; the last
+    trail found crosses blossoms nested about 500 deep."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["gen", "1000", "4000", "3", "1"]) == 0
+    inst = parse_instance(buf.getvalue())
+    matching = set()
+    while True:
+        result = find_trails(inst.g, inst.f, matching)
+        yield result
+        if not result.trails:
+            return
+        matching = rematch(inst.g, inst.f, matching, expand_all(result))
 
 
 def all_records(result: BlockingResult):

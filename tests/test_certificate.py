@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,8 +14,9 @@ from ftrails.certificate import (
     verify,
 )
 from ftrails.engine import find_trails
+from ftrails.expand import expand_all, rematch
 from ftrails.multigraph import Multigraph
-from helpers import random_instance, random_valid_matching, subgraph
+from helpers import deep_nesting_phases, random_instance, random_valid_matching, subgraph
 from oracle import OracleLimit, brute_max
 
 WIDE = OracleLimit(max_edges=13, max_trail_len=13)
@@ -124,6 +126,136 @@ def test_verify_catches_mislabeling():
     report = verify(result)
     assert not report.ok
     assert any("outer" in msg for msg in report.failures)
+
+
+def path_result():
+    # path 0-1-2 with the middle edge matched: labels O, I, O
+    g = Multigraph(3, [(0, 1), (1, 2)])
+    return find_trails(g, [1, 1, 1], {1}, check=True)
+
+
+def pendant_triangle_result():
+    # the triangle is a complete blossom at maximum; vertex 3 (f = 0)
+    # hangs off vertex 1 through edge 3 and is labelled inner
+    g = Multigraph(4, [(0, 1), (1, 2), (2, 0), (1, 3)])
+    return find_trails(g, [1, 1, 1, 0], {1}, check=True)
+
+
+def _set(seq, i, value):
+    seq[i] = value
+
+
+def _uncomplete(result):
+    result.blossoms.maximal_complete()[0].complete = False
+
+
+VERIFY_TAMPERS = {
+    "deficient-inner": (
+        path_result,
+        lambda r: _set(r.def_final, 1, 1),
+        [
+            "inner vertex 1 is deficient",
+            "inner vertices carry 1 matched residual edges, expected 2",
+            "bound 2 != residual matching size 1",
+        ],
+    ),
+    "two-inner": (
+        path_result,
+        lambda r: _set(r.e1_arc, 2, r.e1_arc[1]),
+        [
+            "matched residual edge 1 joins two inner vertices",
+            "inner vertices carry 1 matched residual edges, expected 2",
+            "bound 2 != residual matching size 1",
+        ],
+    ),
+    "blossom-record": (
+        pendant_triangle_result,
+        _uncomplete,
+        [
+            "inner vertex 0 is deficient",
+            "inner vertices carry 1 matched residual edges, expected 2",
+            "bound 2 != residual matching size 1",
+        ],
+    ),
+    "component-matching": (
+        pendant_triangle_result,
+        lambda r: r.matching.add(3),
+        [
+            "component [0, 1, 2] has 1 matched edges against bound term 2",
+            "bound 3 != residual matching size 2",
+        ],
+    ),
+    "component-deficiency": (
+        lambda: find_trails(Multigraph(2, [(0, 1)]), [1, 1], {0}),
+        lambda r: _set(r.def_final, 0, 2),
+        [
+            "component [0, 1] has 1 matched edges against bound term 2",
+            "bound 2 != residual matching size 1",
+        ],
+    ),
+    "orphan-e1-type": (
+        path_result,
+        lambda r: _set(r.e1_arc, 2, -1),
+        ["orphan edge 1 disagrees with e1's M-type at vertex 1"],
+    ),
+    "orphan-off-base": (
+        pendant_triangle_result,
+        lambda r: _set(r.e1_arc, 3, -1),
+        ["orphan edge 3 enters a complete blossom off its base edge"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_TAMPERS)
+def test_verify_failure_branches(case):
+    make, tamper, expected = VERIFY_TAMPERS[case]
+    result = make()
+    assert verify(result).ok
+    tamper(result)
+    report = verify(result)
+    assert not report.ok
+    assert report.failures == expected
+
+
+def random_phase_results(seed: int, count: int):
+    """Every phase's blocking result over count seeded small random instances."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g, f = random_instance(rng, 10, 20, 3)
+        m = random_valid_matching(rng, g, f)
+        while True:
+            result = find_trails(g, f, m)
+            yield result
+            if not result.trails:
+                break
+            m = rematch(g, f, m, expand_all(result))
+
+
+def certificate_digest(results) -> str:
+    """sha256 of each result's verify report and residual graph."""
+    digest = hashlib.sha256()
+    for result in results:
+        rep = verify(result)
+        cert = rep.certificate
+        rg = residual_graph(result)
+        digest.update(repr((
+            rep.ok, rep.bound, rep.residual_size, cert.labeling.label,
+            cert.labeling.unlabeled_kind, cert.components,
+            sorted(rg.edges), sorted(rg.matching), rg.f_prime,
+        )).encode())
+    return digest.hexdigest()
+
+
+def test_certificate_pinned_on_randoms():
+    digest = certificate_digest(random_phase_results(77, 300))
+    assert digest == "1e75dfbe6d37b961c10b2721ced09aa8701a4e192f3042c8a70aee8b7898b7a9"
+
+
+def test_certificate_pinned_on_deep_nesting():
+    # every phase of gen 1000 4000 3 1: the last two hold one maximal
+    # complete blossom each, nested 502 and 678 deep
+    digest = certificate_digest(deep_nesting_phases())
+    assert digest == "6245b179b2b950b0ad51a86b1b6acf80b662b6e9d652426a7f47e62b8a2877d0"
 
 
 def test_verify_oracle_equivalence_randoms():

@@ -1,11 +1,15 @@
+import hashlib
 import io
+import random
 import subprocess
 import sys
 
 import pytest
 
+from ftrails import cli
 from ftrails.cli import Instance, emit_instance, main, parse_instance
 from ftrails.multigraph import Multigraph
+from helpers import random_valid_matching
 
 SINGLE_EDGE = "p ftrails 2 1\ne 1 2\n"
 TRIANGLE = "p ftrails 3 3\ne 1 2\ne 2 3\ne 3 1\n"
@@ -161,3 +165,101 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p ftrails 3 2")
+
+
+def test_main_turns_recursion_and_memory_errors_into_exit_one(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text(TRIANGLE)
+    for exc in (RecursionError, MemoryError):
+
+        def fail(*_args, **_kwargs):
+            raise exc()
+
+        monkeypatch.setattr(cli, "max_f_matching", fail)
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Replacement tokens for the fuzz test: numbers stay <= 1000, so no declared
+# vertex or edge count exceeds 1000.
+FUZZ_TOKENS = ["0", "1", "2", "3", "-1", "7", "1000", "x", "3.5", "", "p", "e", "f", "m",
+               "ftrails", "I", "O", "C", "bound", "residual", "1:"]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """Drop, duplicate or corrupt one to three lines or tokens."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            lines.append(rng.choice(FUZZ_TOKENS))
+            continue
+        i = rng.randrange(len(lines))
+        op = rng.randrange(5)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split()
+            j = rng.randrange(len(tokens)) if tokens else 0
+            if op == 2 and tokens:
+                del tokens[j]
+            elif op == 3 and tokens:
+                tokens.insert(j, tokens[j])
+            elif tokens:
+                tokens[j] = rng.choice(FUZZ_TOKENS)
+            else:
+                tokens.append(rng.choice(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_instances_and_certificates_never_crash(tmp_path, capsys):
+    rng = random.Random(2718)
+    code, generated = run_cli(["gen", "8", "12", "2", "3"])
+    assert code == 0
+    bases = [TRIANGLE, SINGLE_EDGE + "m 1\n", generated + "m 2\nm 5\n",
+             "p ftrails 3 4\nf 1 2\ne 1 1\ne 1 2\ne 2 3\ne 3 3\nm 2\n"]
+    inst, cert, bad = tmp_path / "inst.txt", tmp_path / "cert.txt", tmp_path / "bad.txt"
+    certs = []
+    for text in bases:
+        inst.write_text(text)
+        code, _ = run_cli(["solve", str(inst), "--cert-out", str(cert)])
+        assert code == 0
+        certs.append(cert.read_text())
+    capsys.readouterr()
+    for k in range(150):
+        b = k % len(bases)
+        bad.write_text(mutate(rng, bases[b]))
+        inst.write_text(bases[b])
+        cert.write_text(mutate(rng, certs[b]))
+        runs = (
+            ["solve", str(bad), "--check"],
+            ["block", str(bad)],
+            ["certify", str(bad), str(cert)],
+            ["certify", str(inst), str(cert)],
+        )
+        for args in runs:
+            code, _ = run_cli(args)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (args, bad.read_text(), cert.read_text())
+            assert "Traceback" not in err
+
+
+def test_block_output_pinned(tmp_path):
+    # sha256 of block's output and exit codes on generated instances, with
+    # and without an initial matching, recorded before block shared the
+    # phase function of the solver
+    digest = hashlib.sha256()
+    path = tmp_path / "inst.txt"
+    for seed in range(12):
+        code, text = run_cli(["gen", "40", "90", "3", str(seed)])
+        assert code == 0
+        inst = parse_instance(text)
+        matching = random_valid_matching(random.Random(seed), inst.g, inst.f)
+        for extra in ("", "".join(f"m {e + 1}\n" for e in sorted(matching)[::2])):
+            path.write_text(text + extra)
+            code, out = run_cli(["block", str(path)])
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "13193dd7429d930d0cab91856f24c45034800adb9fe47e4d920b4dff9c9e3baf"

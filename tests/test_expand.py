@@ -1,15 +1,18 @@
-import contextlib
 import hashlib
-import io
 import random
 
 import pytest
 
-from ftrails.cli import main, parse_instance
 from ftrails.engine import StructuralError, find_trails
 from ftrails.expand import GTrail, _Router, check_gtrail, expand_all, pi_trail, rematch
 from ftrails.multigraph import Multigraph, deficiency
-from helpers import all_records, random_instance, random_valid_matching, validate_blossoms
+from helpers import (
+    all_records,
+    deep_nesting_phases,
+    random_instance,
+    random_valid_matching,
+    validate_blossoms,
+)
 
 
 def triangle_blossom_result():
@@ -150,6 +153,28 @@ def test_expanded_trails_validate_on_randoms():
         assert validate_blossoms(result) == []
 
 
+# a path 0-1-2-3 plus edge 3 parallel to edge 0
+PATH3 = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "steps, terminal, matching, expected",
+    [
+        ((), 3, set(), ["empty trail"]),
+        (((0, 0, 1), (2, 3, 2), (1, 2, 1)), 1, {2}, ["edge 2 does not continue the trail at 1"]),
+        (((1, 0, 1),), 1, set(), ["edge 1 is not between 0 and 1"]),
+        (((0, 0, 1), (3, 1, 0), (0, 0, 1)), 1, {3}, ["edge 0 repeats"]),
+        (((0, 0, 1), (1, 1, 2)), 2, set(), ["no alternation entering edge 1"]),
+        (((0, 0, 1), (1, 1, 2), (2, 2, 3)), 2, {1}, ["trail does not end at its terminal vertex"]),
+        (((0, 0, 1), (1, 1, 2)), 2, {1}, ["extreme edge is matched"]),
+    ],
+    ids=["empty", "continuation", "endpoints", "repeat", "alternation", "terminal", "extreme"],
+)
+def test_check_gtrail_problem_messages(steps, terminal, matching, expected):
+    trail = GTrail(root_vertex=0, terminal_vertex=terminal, steps=steps)
+    assert check_gtrail(PATH3, matching, trail) == expected
+
+
 def test_rematch_single_edge():
     g = Multigraph(2, [(0, 1)])
     result = find_trails(g, [1, 1], set())
@@ -226,22 +251,6 @@ def test_rematch_rejects_unknown_edge_id(e):
     bogus = GTrail(root_vertex=0, terminal_vertex=1, steps=((e, 0, 1),))
     with pytest.raises(ValueError, match=f"unknown edge id {e}"):
         rematch(g, [2, 2], set(), [bogus])
-
-
-def deep_nesting_phases():
-    """The blocking results of every phase of gen 1000 4000 3 1; the last
-    trail found crosses blossoms nested about 500 deep."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert main(["gen", "1000", "4000", "3", "1"]) == 0
-    inst = parse_instance(buf.getvalue())
-    matching = set()
-    while True:
-        result = find_trails(inst.g, inst.f, matching)
-        yield result
-        if not result.trails:
-            return
-        matching = rematch(inst.g, inst.f, matching, expand_all(result))
 
 
 def test_expansion_pinned_on_deep_nesting():
