@@ -18,18 +18,24 @@ depth can reach the edge count, and the hot path stays free of attribute
 lookups and string formatting unless tracing is on.
 
 A grow step scans the graph's own incidence list of its vertex, skipping
-edges of the other M-type, so a run's set-up is one pass over the matching
-plus flat buffers that C code fills.
+edges of the other M-type, and reads the far end of the edge it grows as
+x ^ g.exor[e] from one array.
+
+A run's set-up is one Python pass over the matching plus flat buffers that
+C code fills; the set-up also makes validate_matching's checks, with its
+messages.  Without an explicit order only the vertices deficient at set-up
+root searches, in ascending order: a deficiency never rises during a run.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from operator import sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .multigraph import Multigraph, validate_matching
+from .multigraph import Multigraph, check_bounds_and_ids
 
 ARTIFICIAL = -1
 
@@ -137,7 +143,7 @@ class BlossomStore:
 
     def __init__(self, cap: int = 0) -> None:
         self.parent = array("i", bytes(4 * cap))  # set when each arc is made
-        self.size = array("i", bytes(4 * cap))
+        self.size = array("i", [1]) * cap
         self.root_record: dict[int, BlossomRecord] = {}
         self.base_record: dict[int, BlossomRecord] = {}
 
@@ -239,6 +245,9 @@ class _Run:
         self.check = check
         self.trace = trace
 
+        # validate_matching's checks, in its order and with its messages,
+        # around the one pass over the matching
+        check_bounds_and_ids(g, f, matching)
         n = g.n
         edges = g.edges
         matched = bytearray(g.m)
@@ -249,6 +258,9 @@ class _Run:
             deg[u] += 1
             deg[v] += 1
         self.deficiency = array("i", map(sub, f, deg))
+        if n and min(self.deficiency) < 0:
+            bad = [v for v in range(n) if self.deficiency[v] < 0]
+            raise ValueError(f"matching violates degree bounds at vertices {bad}")
 
         # Grow scans walk the graph's flat incidence lists (the segment of
         # x ends at inc_end[x]) with a forward cursor per vertex and M-type,
@@ -268,9 +280,6 @@ class _Run:
         # one entry arena with per-vertex first/last links
         minus1 = b"\xff" * (4 * n)
         zeros_n = bytes(4 * n)
-        self.bl_entry_node = array("i")
-        self.bl_entry_arc = array("i")
-        self.bl_entry_next = array("i")
         self.bl_first = array("i", minus1)
         self.bl_last = array("i", minus1)
         self.bl_cnt_m = array("i", zeros_n)
@@ -286,16 +295,15 @@ class _Run:
         # one successful per (edge-disjoint) trail
         cap = 2 * g.m + n + 1
         zeros_cap = bytes(4 * cap)
-        self.bl_entry_node.frombytes(zeros_cap)
-        self.bl_entry_arc.frombytes(zeros_cap)
-        self.bl_entry_next.frombytes(zeros_cap)
+        self.bl_entry_node = array("i", zeros_cap)
+        self.bl_entry_arc = array("i", zeros_cap)
+        self.bl_entry_next = array("i", b"\xff" * (4 * cap))  # -1 ends a list
         self.n_bl = 0
         self.forest = Forest(cap)
         self.store = BlossomStore(cap)
         self.n_arcs = 0
         self.trails: list[Trail] = []
         self.search_id = -1
-        self.alpha = -1
 
         # check-mode bookkeeping
         if check:
@@ -346,7 +354,6 @@ class _Run:
         for alpha in order:
             while self.deficiency[alpha] > 0 and self.e1_arc[alpha] < 0:
                 self.search_id += 1
-                self.alpha = alpha
                 if not self._search(alpha):
                     break
 
@@ -362,7 +369,7 @@ class _Run:
         sz = store.size
         base_record = store.base_record
         deficiency = self.deficiency
-        edges = self.g.edges
+        exor = self.g.exor
         inc = self.g.inc_flat
         inc_end = self.inc_end
         closed_u = self.closed_u
@@ -390,7 +397,6 @@ class _Run:
         ftail[root] = -1
         fvertex[root] = alpha
         par[root] = root
-        sz[root] = 1
         if check:
             self._on_new_arc(root)
         n_arcs = self.n_arcs
@@ -431,9 +437,7 @@ class _Run:
                 if e >= 0:
                     closed[e] = 1
                     want = 1 - amu
-                    a, y = edges[e]
-                    if a != x:
-                        y = a
+                    y = x ^ exor[e]
                     child = n_arcs
                     n_arcs += 1
                     fedge[child] = e
@@ -441,7 +445,6 @@ class _Run:
                     ftail[child] = node
                     fvertex[child] = y
                     par[child] = child
-                    sz[child] = 1
                     if check:
                         self._on_new_arc(child)
                     if trace is not None:
@@ -560,21 +563,21 @@ class _Run:
             n_bl += 1
             bl_entry_node[idx] = node
             bl_entry_arc[idx] = arc
-            bl_entry_next[idx] = -1
             t = bl_last[x]
             if t >= 0:
                 bl_entry_next[t] = idx
             else:
                 bl_first[x] = idx
             bl_last[x] = idx
-            if fmatched[arc]:
+            if amu:  # amu is the M-type of arc
                 bl_cnt_m[x] += 1
             else:
                 bl_cnt_u[x] += 1
             if e1_arc[x] < 0:
                 e1_arc[x] = arc
-            if arc == node:
-                # head-flavor return: may complete a blossom based here
+            if arc == node and flag == sid:
+                # head-flavor return: may complete a blossom based here;
+                # the blossom step that made it flagged x with this search
                 rec = base_record.get(node)
                 if rec is not None:
                     rec.complete = True
@@ -779,15 +782,12 @@ def find_trails(
         deficiencies.
 
     Raises:
-        ValueError: if the matching violates a degree bound.
+        ValueError: if f does not fit g, or the matching holds an unknown
+            edge id or violates a degree bound (validate_matching's checks).
         CheckFailure: if check mode catches an invariant violation.
     """
-    bad = validate_matching(g, f, matching)
-    if bad:
-        raise ValueError(f"matching violates degree bounds at vertices {bad}")
-
     run = _Run(g, f, matching, check, trace)
-    run.run(range(g.n) if order is None else order)
+    run.run(compress(range(g.n), run.deficiency) if order is None else order)
     run.check_final()
     run.forest.trim(run.n_arcs)
     run.store.trim(run.n_arcs)

@@ -9,8 +9,8 @@ equal.  A loop contributes 2 to the degree of its vertex.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain, compress
-from operator import gt
+from itertools import accumulate, chain, compress, starmap
+from operator import gt, xor
 
 
 class Multigraph:
@@ -19,7 +19,7 @@ class Multigraph:
     Immutable after construction; safe to share read-only across threads.
     """
 
-    __slots__ = ("n", "edges", "incidence", "inc_flat", "inc_off")
+    __slots__ = ("n", "edges", "exor", "incidence", "inc_flat", "inc_off")
 
     def __init__(self, n: int, edges: list[tuple[int, int]]) -> None:
         if n < 0:
@@ -39,6 +39,9 @@ class Multigraph:
             if v != u:
                 incidence[v].append(e)
         self.incidence = incidence
+        # exor[e] is u ^ v for edge e = (u, v): the far end from either end
+        # is one array read and one xor (a loop's entry is 0)
+        self.exor = array("i", starmap(xor, self.edges))
         self.inc_off = array("i", accumulate(map(len, incidence), initial=0))
         self.inc_flat = array("i", chain.from_iterable(incidence))
 
@@ -67,13 +70,18 @@ class Multigraph:
         return f"Multigraph(n={self.n}, m={self.m})"
 
 
-def check_degree_bounds(g: Multigraph, f: list[int]) -> None:
-    """Validate a per-vertex degree bound vector against g."""
+def check_bounds_and_ids(g: Multigraph, f: list[int], matching: set[int]) -> None:
+    """Validate a per-vertex degree bound vector and a matching's edge ids
+    against g; raises ValueError.  Degrees are left to the caller."""
     if len(f) != g.n:
         raise ValueError(f"degree bound vector has length {len(f)}, expected {g.n}")
     if f and min(f) < 0:
         v = next(v for v, b in enumerate(f) if b < 0)
         raise ValueError(f"degree bound f({v}) = {f[v]} is negative")
+    m = g.m
+    if matching and (min(matching) < 0 or max(matching) >= m):
+        e = next(e for e in matching if not 0 <= e < m)
+        raise ValueError(f"matching contains unknown edge id {e}")
 
 
 def deficiency(g: Multigraph, f: list[int], matching: set[int], v: int) -> int:
@@ -87,11 +95,7 @@ def validate_matching(g: Multigraph, f: list[int], matching: set[int]) -> list[i
     Empty result means the matching is a valid f-matching.  Edge ids out of
     range raise ValueError.
     """
-    check_degree_bounds(g, f)
-    m = g.m
-    if matching and (min(matching) < 0 or max(matching) >= m):
-        e = next(e for e in matching if not 0 <= e < m)
-        raise ValueError(f"matching contains unknown edge id {e}")
+    check_bounds_and_ids(g, f, matching)
     deg = [0] * g.n
     for u, v in map(g.edges.__getitem__, matching):
         deg[u] += 1

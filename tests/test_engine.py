@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from ftrails.driver import max_f_matching
 from ftrails.engine import ARTIFICIAL, find_trails
 from ftrails.expand import expand_all, rematch
 from ftrails.multigraph import Multigraph
-from helpers import random_instance, random_valid_matching, run_phases
+from helpers import deep_nesting_phases, random_instance, random_valid_matching, run_phases
 
 
 def traced(g, f, matching, **kw):
@@ -145,6 +146,26 @@ def test_invalid_matching_rejected():
         find_trails(g, [1, 1], {0, 1})
 
 
+@pytest.mark.parametrize(
+    "f, matching, message",
+    [
+        ([1, 1, 2], {0, 1}, "matching violates degree bounds at vertices [0, 1]"),
+        ([1, 1, 2], {-1}, "matching contains unknown edge id -1"),
+        ([1, 1, 2], {3}, "matching contains unknown edge id 3"),
+        ([1, 1], set(), "degree bound vector has length 2, expected 3"),
+        ([1, -1, 2], set(), "degree bound f(1) = -1 is negative"),
+        # the checks run in this order: bounds, edge ids, degrees
+        ([1, 1], {0, 1, 3}, "degree bound vector has length 2, expected 3"),
+        ([1, 1, 2], {0, 1, 3}, "matching contains unknown edge id 3"),
+    ],
+)
+def test_find_trails_rejection_messages(f, matching, message):
+    g = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
+    with pytest.raises(ValueError) as info:
+        find_trails(g, f, matching)
+    assert str(info.value) == message
+
+
 def test_each_edge_grown_at_most_once():
     rng = random.Random(5)
     for _ in range(100):
@@ -246,3 +267,56 @@ def test_no_incident_edge_grown_after_e1_pop():
                 if parts[0] == "grow":
                     u, y = parts[1].split("->")
                     assert x != int(u) and x != int(y), (x, line)
+
+
+def _phase_digest(h, result, lines=()):
+    fo = result.forest
+    h.update(
+        repr(
+            (
+                list(fo.edge),
+                list(fo.tail),
+                list(fo.matched),
+                list(fo.vertex),
+                list(result.e1_arc),
+                list(result.def_final),
+                result.searches,
+                [tuple(t) for t in result.trails],
+                list(lines),
+            )
+        ).encode()
+    )
+
+
+def _solve_digest(h, g, f, matching, check=False):
+    while True:
+        lines = []
+        result = find_trails(g, f, matching, check=check, trace=lines.append if check else None)
+        _phase_digest(h, result, lines)
+        if not result.trails:
+            return
+        matching = rematch(g, f, matching, expand_all(result))
+
+
+def test_search_pinned():
+    # Every search decision, pinned: a change to the engine that should
+    # only make it faster must leave these digests as they are.
+    h = hashlib.sha256()
+    rng = random.Random(2024)
+    n, m = 600, 1500
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+    f = [rng.randint(1, 3) for _ in range(n)]
+    _solve_digest(h, Multigraph(n, edges), f, set())
+    assert h.hexdigest() == "3f9f42e456af8bfa55f7c3a5f74cce51f7d5d7dbbaae60b2591eb53564de80ec"
+
+    h = hashlib.sha256()
+    for _, result in zip(range(3), deep_nesting_phases()):
+        _phase_digest(h, result)
+    assert h.hexdigest() == "53c7807d4c864ff7911743023480db31eb0dd997992f775d2fcdeed97a46ce79"
+
+    h = hashlib.sha256()
+    rng = random.Random(8)
+    for _ in range(300):
+        g, f = random_instance(rng, 8, 13, 3)
+        _solve_digest(h, g, f, random_valid_matching(rng, g, f), check=True)
+    assert h.hexdigest() == "355e735bc1d08b5c0f39081956a788b068eff84e623c92d700201efc9ab5dad0"

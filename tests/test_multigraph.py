@@ -64,3 +64,14 @@ def test_handshake_identity_random():
         total = sum(f[v] - deficiency(g, f, m, v) for v in range(g.n))
         assert total == 2 * len(m)
         assert all(deficiency(g, f, m, v) >= 0 for v in range(g.n))
+
+
+def test_exor_gives_the_far_end():
+    # loops (0, 2), parallel pairs (1, 3) and (4, 5), one reversed (5)
+    edges = [(0, 0), (0, 1), (2, 2), (0, 1), (1, 3), (3, 1), (2, 3)]
+    g = Multigraph(4, edges)
+    assert len(g.exor) == g.m
+    for e, (u, v) in enumerate(edges):
+        for end in (u, v):
+            assert end ^ g.exor[e] == g.other_end(e, end)
+    assert g.exor[0] == g.exor[2] == 0
