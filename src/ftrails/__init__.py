@@ -3,7 +3,7 @@
 from .multigraph import Multigraph
 from .engine import BlockingResult, CheckFailure, StructuralError, Trail, find_trails
 from .expand import GTrail, expand_all, rematch
-from .certificate import Certificate, CertificateReport, Labeling, bound_value, verify
+from .certificate import CertificateReport, Labeling, bound_value, verify
 from .driver import SolveReport, max_f_matching
 from .substitute import BlossomSpec, Crossing, SubstituteMap, build_substitute, pull_back_trail
 
@@ -17,7 +17,6 @@ __all__ = [
     "GTrail",
     "expand_all",
     "rematch",
-    "Certificate",
     "CertificateReport",
     "Labeling",
     "bound_value",

@@ -16,7 +16,7 @@ everything and checks tightness piece by piece.
 from __future__ import annotations
 
 from collections.abc import Container
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import and_, or_, xor
 from typing import NamedTuple, Optional
@@ -28,19 +28,38 @@ from .multigraph import Multigraph
 IN_COMPLETE_BLOSSOM = "IN_COMPLETE_BLOSSOM"
 ORPHAN = "ORPHAN"
 
+# Vertex codes of a labelling, one byte per vertex.  bound_value gives
+# every vertex outside I and O the code of a complete-blossom member, so
+# only verify meets orphans.
+_IN_COMPLETE, _INNER, _OUTER, _ORPHAN = 0, 1, 2, 3
+_LABEL: tuple[Optional[str], ...] = (None, "I", "O", None)
+_KIND: tuple[Optional[str], ...] = (IN_COMPLETE_BLOSSOM, None, None, ORPHAN)
+_IS_INNER = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x01\x00\x00")
+_IS_OUTER = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x00\x01\x00")
+_IS_UNLABELED = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x00\x00\x01")
+
 
 @dataclass
 class Labeling:
-    label: list[Optional[str]]  # 'I', 'O', or None per vertex
-    unlabeled_kind: list[Optional[str]]
+    code: bytearray  # the vertex codes
+
+    @property
+    def label(self) -> list[Optional[str]]:
+        """'I', 'O', or None per vertex."""
+        return list(map(_LABEL.__getitem__, self.code))
+
+    @property
+    def unlabeled_kind(self) -> list[Optional[str]]:
+        """IN_COMPLETE_BLOSSOM, ORPHAN, or None (labelled) per vertex."""
+        return list(map(_KIND.__getitem__, self.code))
 
     @property
     def inner(self) -> set[int]:
-        return {v for v, l in enumerate(self.label) if l == "I"}
+        return set(compress(range(len(self.code)), self.code.translate(_IS_INNER)))
 
     @property
     def outer(self) -> set[int]:
-        return {v for v, l in enumerate(self.label) if l == "O"}
+        return set(compress(range(len(self.code)), self.code.translate(_IS_OUTER)))
 
 
 @dataclass
@@ -51,30 +70,13 @@ class ResidualGraph:
 
 
 @dataclass
-class Certificate:
-    labeling: Labeling
-    components: list[list[int]]
-    bound: int
-    residual_size: int
-
-
-@dataclass
 class CertificateReport:
     ok: bool
     bound: int
     residual_size: int
-    failures: list[str] = field(default_factory=list)
-    certificate: Optional[Certificate] = None
-
-
-# Vertex codes of a labelling, one byte per vertex.  bound_value gives
-# every vertex outside I and O the code of a complete-blossom member, so
-# only verify meets orphans.
-_IN_COMPLETE, _INNER, _OUTER, _ORPHAN = 0, 1, 2, 3
-_LABEL: tuple[Optional[str], ...] = (None, "I", "O", None)
-_KIND: tuple[Optional[str], ...] = (IN_COMPLETE_BLOSSOM, None, None, ORPHAN)
-_IS_INNER = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x01\x00\x00")
-_IS_UNLABELED = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x00\x00\x01")
+    labeling: Labeling
+    components: list[list[int]]  # of the unlabelled vertices, sorted
+    failures: list[str]
 
 
 def _bytewise(op, a: bytes, b: bytes) -> bytes:
@@ -111,10 +113,6 @@ def _codes(result: BlockingResult, in_complete: bytearray) -> bytearray:
             continue
         code[v] = _ORPHAN if a < 0 else _OUTER if matched[a] else _INNER
     return code
-
-
-def _labeling(code: bytearray) -> Labeling:
-    return Labeling(list(map(_LABEL.__getitem__, code)), list(map(_KIND.__getitem__, code)))
 
 
 def _residual(
@@ -278,7 +276,7 @@ def compute_labels(result: BlockingResult) -> Labeling:
     does not occur in any complete blossom; otherwise it is unlabelled,
     classified as a complete-blossom member or an orphan.
     """
-    return _labeling(_codes(result, _walk_complete(result)[0]))
+    return Labeling(_codes(result, _walk_complete(result)[0]))
 
 
 def bound_value(
@@ -286,7 +284,6 @@ def bound_value(
     f: list[int],
     inner: set[int],
     outer: set[int],
-    edges=None,
 ) -> int:
     """Evaluate the odd-set expression for disjoint vertex sets I and O.
 
@@ -303,9 +300,7 @@ def bound_value(
         code[v] = _INNER
     for v in outer:
         code[v] = _OUTER
-    if edges is None:
-        edges = range(g.m)
-    return _odd_set(g, f, code, edges, bytes(g.m)).bound
+    return _odd_set(g, f, code, range(g.m), bytes(g.m)).bound
 
 
 def verify(result: BlockingResult) -> CertificateReport:
@@ -367,30 +362,25 @@ def verify(result: BlockingResult) -> CertificateReport:
         f"orphan edge {e} enters a complete blossom off its base edge" for e in odd.orphan_off_base
     ]
 
-    cert = Certificate(
-        labeling=_labeling(code),
-        components=odd.components,
-        bound=bound,
-        residual_size=residual_size,
-    )
     return CertificateReport(
         ok=not failures,
         bound=bound,
         residual_size=residual_size,
+        labeling=Labeling(code),
+        components=odd.components,
         failures=failures,
-        certificate=cert,
     )
 
 
-def format_certificate(cert: Certificate) -> str:
+def format_certificate(report: CertificateReport) -> str:
     """Serialize a certificate as text, vertices 1-based as in files."""
     lines = []
-    lines.append("I " + " ".join(str(v + 1) for v in sorted(cert.labeling.inner)))
-    lines.append("O " + " ".join(str(v + 1) for v in sorted(cert.labeling.outer)))
-    for k, members in enumerate(cert.components, start=1):
+    lines.append("I " + " ".join(str(v + 1) for v in sorted(report.labeling.inner)))
+    lines.append("O " + " ".join(str(v + 1) for v in sorted(report.labeling.outer)))
+    for k, members in enumerate(report.components, start=1):
         lines.append(f"C {k}: " + " ".join(str(v + 1) for v in members))
-    lines.append(f"bound {cert.bound}")
-    lines.append(f"residual {cert.residual_size}")
+    lines.append(f"bound {report.bound}")
+    lines.append(f"residual {report.residual_size}")
     return "\n".join(lines) + "\n"
 
 

@@ -133,7 +133,7 @@ def cmd_block(args: argparse.Namespace, out: TextIO) -> int:
     print(f"residual {report.residual_size}", file=out)
     if args.cert_out:
         with open(args.cert_out, "w", encoding="utf-8") as fh:
-            fh.write(format_certificate(report.certificate))
+            fh.write(format_certificate(report))
     return 0 if report.ok else 2
 
 

@@ -12,19 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .certificate import Certificate, CertificateReport, verify
+from .certificate import CertificateReport, verify
 from .engine import BlockingResult, StructuralError, find_trails
 from .expand import GTrail, expand_all, rematch
-from .multigraph import Multigraph, validate_matching
+from .multigraph import Multigraph
 
 
 @dataclass
 class SolveReport:
     matching: set[int]
-    phases: int
-    trail_counts: list[int]
-    certificate: Certificate
-    report: CertificateReport
+    trail_counts: list[int]  # per phase, the last (empty) phase's 0 included
+    certificate: CertificateReport  # the final phase's, verified
+
+    @property
+    def phases(self) -> int:
+        return len(self.trail_counts)
 
 
 def run_phase(
@@ -65,14 +67,11 @@ def max_f_matching(
         the final (verified) optimality certificate.
 
     Raises:
-        ValueError: if the initial matching is invalid.
+        ValueError: if f does not fit g or the initial matching is invalid;
+            the first phase's set-up makes validate_matching's checks.
         StructuralError: if the final certificate fails verification.
     """
     matching = set(init) if init is not None else set()
-    bad = validate_matching(g, f, matching)
-    if bad:
-        raise ValueError(f"initial matching violates degree bounds at {bad}")
-
     phi = sum(f)
     trail_counts: list[int] = []
     while True:
@@ -84,11 +83,7 @@ def max_f_matching(
                     "certificate verification failed: " + "; ".join(report.failures)
                 )
             return SolveReport(
-                matching=matching,
-                phases=len(trail_counts) + 1,
-                trail_counts=trail_counts + [0],
-                certificate=report.certificate,
-                report=report,
+                matching=matching, trail_counts=trail_counts + [0], certificate=report
             )
         matching = rematched
         trail_counts.append(len(trails))

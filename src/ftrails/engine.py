@@ -17,7 +17,7 @@ The search itself is one explicit-stack loop (_Run._search): recursion
 depth can reach the edge count, and the hot path stays free of attribute
 lookups and string formatting unless tracing is on.
 
-A grow step scans the graph's own incidence list of its vertex, skipping
+A grow step scans its vertex's segment of the graph's g.inc_flat, skipping
 edges of the other M-type, and reads the far end of the edge it grows as
 x ^ g.exor[e] from one array.
 
@@ -216,7 +216,6 @@ class BlockingResult:
     """Everything a find_trails run produced, kept contracted."""
 
     g: Multigraph
-    f: list[int]
     matching: set[int]
     trails: list[Trail]
     forest: Forest
@@ -227,7 +226,7 @@ class BlockingResult:
     expanded: Optional[list] = None  # the expanded trails, once expand_all ran
 
 
-ENTER, GROW, BLOSSOM, PENDING = 0, 1, 2, 3
+GROW, BLOSSOM, PENDING = 0, 1, 2
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
@@ -793,7 +792,6 @@ def find_trails(
     run.store.trim(run.n_arcs)
     return BlockingResult(
         g=g,
-        f=f,
         matching=set(matching),
         trails=run.trails,
         forest=run.forest,

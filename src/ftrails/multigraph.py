@@ -9,7 +9,7 @@ equal.  A loop contributes 2 to the degree of its vertex.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain, compress, starmap
+from itertools import accumulate, compress, starmap
 from operator import gt, xor
 
 
@@ -19,7 +19,7 @@ class Multigraph:
     Immutable after construction; safe to share read-only across threads.
     """
 
-    __slots__ = ("n", "edges", "exor", "incidence", "inc_flat", "inc_off")
+    __slots__ = ("n", "edges", "exor", "inc_flat", "inc_off")
 
     def __init__(self, n: int, edges: list[tuple[int, int]]) -> None:
         if n < 0:
@@ -28,22 +28,30 @@ class Multigraph:
         self.n = n
         self.edges: list[tuple[int, int]] = list(edges)
 
-        # incidence[v] lists the edge ids incident to v, in edge-id order.
-        # A loop appears once in its vertex's list.  The same lists are kept
-        # flattened (inc_flat with per-vertex offsets inc_off) for scans.
-        incidence: list[list[int]] = [[] for _ in range(n)]
+        # inc_flat[inc_off[v]:inc_off[v + 1]] lists the edge ids incident to
+        # v, in edge-id order; a loop appears once in its vertex's segment.
+        # One pass counts each vertex's edges, a second places them: no
+        # per-vertex list is ever built.
+        count = [0] * n
         for e, (u, v) in enumerate(self.edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e} endpoint out of range: ({u}, {v})")
-            incidence[u].append(e)
+            count[u] += 1
             if v != u:
-                incidence[v].append(e)
-        self.incidence = incidence
+                count[v] += 1
         # exor[e] is u ^ v for edge e = (u, v): the far end from either end
         # is one array read and one xor (a loop's entry is 0)
         self.exor = array("i", starmap(xor, self.edges))
-        self.inc_off = array("i", accumulate(map(len, incidence), initial=0))
-        self.inc_flat = array("i", chain.from_iterable(incidence))
+        self.inc_off = array("i", accumulate(count, initial=0))
+        slot = self.inc_off.tolist()  # where each vertex's next edge id goes
+        flat = array("i", bytes(4 * slot[n]))
+        for e, (u, v) in enumerate(self.edges):
+            flat[slot[u]] = e
+            slot[u] += 1
+            if v != u:
+                flat[slot[v]] = e
+                slot[v] += 1
+        self.inc_flat = flat
 
     @property
     def m(self) -> int:

@@ -212,7 +212,7 @@ def enumerate_augmenting_trails(g, f, matching, max_len=12, contracted=None, eta
         if len(path) >= max_len:
             return
         at_c = contracted is not None and v == contracted
-        for e in g.incidence[v]:
+        for e in g.inc_flat[g.inc_off[v] : g.inc_off[v + 1]]:
             if used[e]:
                 continue
             em = e in matching
@@ -237,7 +237,7 @@ def enumerate_augmenting_trails(g, f, matching, max_len=12, contracted=None, eta
     for alpha in range(g.n):
         if deficiency[alpha] <= 0 or (contracted is not None and alpha == contracted):
             continue
-        for e in g.incidence[alpha]:
+        for e in g.inc_flat[g.inc_off[alpha] : g.inc_off[alpha + 1]]:
             if e in matching:
                 continue
             used[e] = True

@@ -112,7 +112,7 @@ def has_augmenting_trail(
             return True
         if length == cap:
             return False
-        for e in g.incidence[v]:
+        for e in g.inc_flat[g.inc_off[v] : g.inc_off[v + 1]]:
             if used[e] or (e in matching) == last_matched:
                 continue
             used[e] = True
@@ -123,7 +123,7 @@ def has_augmenting_trail(
         return False
 
     for alpha in deficient:
-        for e in g.incidence[alpha]:
+        for e in g.inc_flat[g.inc_off[alpha] : g.inc_off[alpha + 1]]:
             if e in matching:
                 continue
             used[e] = True

@@ -236,11 +236,10 @@ def certificate_digest(results) -> str:
     digest = hashlib.sha256()
     for result in results:
         rep = verify(result)
-        cert = rep.certificate
         rg = residual_graph(result)
         digest.update(repr((
-            rep.ok, rep.bound, rep.residual_size, cert.labeling.label,
-            cert.labeling.unlabeled_kind, cert.components,
+            rep.ok, rep.bound, rep.residual_size, rep.labeling.label,
+            rep.labeling.unlabeled_kind, rep.components,
             sorted(rg.edges), sorted(rg.matching), rg.f_prime,
         )).encode())
     return digest.hexdigest()
@@ -291,11 +290,34 @@ def test_weak_duality_randoms():
 def test_certificate_round_trip():
     g = Multigraph(3, [(0, 1), (1, 2)])
     report = verify(find_trails(g, [1, 1, 1], {1}))
-    text = format_certificate(report.certificate)
+    text = format_certificate(report)
     inner, outer, bound = parse_certificate(text)
-    assert inner == report.certificate.labeling.inner
-    assert outer == report.certificate.labeling.outer
+    assert inner == report.labeling.inner
+    assert outer == report.labeling.outer
     assert bound == report.bound
+
+
+def test_labeling_views_agree():
+    # a complete triangle blossom with an inner pendant (vertices 0-3), a
+    # free isolated vertex (4, outer) and a free edge the phase augments
+    # (5-6, orphans)
+    g = Multigraph(7, [(0, 1), (1, 2), (2, 0), (1, 3), (5, 6)])
+    result = find_trails(g, [1, 1, 1, 0, 1, 1, 1], {1}, check=True)
+    report = verify(result)
+    assert report.ok
+    lab = report.labeling
+    assert lab.label == [None, None, None, "I", "O", None, None]
+    assert lab.unlabeled_kind == [IN_COMPLETE_BLOSSOM] * 3 + [None, None, ORPHAN, ORPHAN]
+    assert lab == compute_labels(result)
+    assert lab.inner == {v for v, l in enumerate(lab.label) if l == "I"}
+    assert lab.outer == {v for v, l in enumerate(lab.label) if l == "O"}
+    assert all((l is None) != (k is None) for l, k in zip(lab.label, lab.unlabeled_kind))
+    text = format_certificate(report)
+    # the trail edge 5-6 leaves the residual graph, so 5 and 6 part
+    assert text.splitlines() == [
+        "I 4", "O 5", "C 1: 1 2 3", "C 2: 6", "C 3: 7", "bound 1", "residual 1"
+    ]
+    assert parse_certificate(text) == (lab.inner, lab.outer, report.bound)
 
 
 def test_parse_certificate_rejects_garbage():

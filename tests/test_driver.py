@@ -19,7 +19,7 @@ def test_path_of_three():
     g = Multigraph(3, [(0, 1), (1, 2)])
     report = max_f_matching(g, [1, 1, 1])
     assert len(report.matching) == 1
-    assert report.report.ok
+    assert report.certificate.ok
 
 
 def test_parallel_pair_capacity_two():
@@ -33,7 +33,7 @@ def test_petersen_perfect_matching():
     assert brute_max(g, [1] * 10)[0] == 5
     report = max_f_matching(g, [1] * 10, check=True)
     assert len(report.matching) == 5
-    assert report.report.ok
+    assert report.certificate.ok
 
 
 def test_initial_matching_respected():
@@ -43,8 +43,9 @@ def test_initial_matching_respected():
 
 
 def test_invalid_init_rejected():
+    # the first phase's set-up rejects it, before any search
     g = Multigraph(2, [(0, 1), (0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^matching violates degree bounds at vertices \[0, 1\]$"):
         max_f_matching(g, [1, 1], init={0, 1})
 
 
@@ -56,7 +57,8 @@ def test_monotone_phases_and_termination():
         report = max_f_matching(g, f, init=init, check=True)
         assert all(c > 0 for c in report.trail_counts[:-1])
         assert report.trail_counts[-1] == 0
-        assert report.phases <= sum(f) // 2 + 1
+        assert report.phases == len(report.trail_counts) <= sum(f) // 2 + 1
+        assert report.certificate.ok
         if g.m <= 13:
             assert len(report.matching) == brute_max(g, f)[0]
 
@@ -78,7 +80,7 @@ def test_deep_triangle_chain():
     g = triangle_chain(5000)
     report = max_f_matching(g, [1] * g.n)
     assert len(report.matching) == 5000
-    assert report.report.ok and report.certificate.bound == 5000
+    assert report.certificate.ok and report.certificate.bound == 5000
 
 
 def test_deep_triangle_strip():
@@ -86,14 +88,14 @@ def test_deep_triangle_strip():
     g = Multigraph(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)])
     report = max_f_matching(g, [1] * n)
     assert len(report.matching) == 5000
-    assert report.report.ok and report.certificate.bound == 5000
+    assert report.certificate.ok and report.certificate.bound == 5000
 
 
 def test_generated_instance_with_deep_nesting(capsys):
     assert main(["gen", "2500", "10000", "3", "1"]) == 0
     inst = parse_instance(capsys.readouterr().out)
     report = max_f_matching(inst.g, inst.f)
-    assert report.report.ok
+    assert report.certificate.ok
     assert len(report.matching) == report.certificate.bound
 
 

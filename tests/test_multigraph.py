@@ -48,8 +48,9 @@ def test_bad_endpoints_rejected():
 
 def test_incidence_lists_loop_once():
     g = Multigraph(2, [(0, 0), (0, 1)])
-    assert g.incidence[0] == [0, 1]
-    assert g.incidence[1] == [1]
+    assert list(g.inc_off) == [0, 2, 3]
+    assert list(g.inc_flat[g.inc_off[0] : g.inc_off[1]]) == [0, 1]
+    assert list(g.inc_flat[g.inc_off[1] : g.inc_off[2]]) == [1]
     assert g.other_end(0, 0) == 0
     assert g.other_end(1, 0) == 1
 
