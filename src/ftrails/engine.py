@@ -13,9 +13,13 @@ exactly one parent arc, and every arc has exactly one head node, so nodes
 and arcs share ids.  Arc a's head node is a; its tail node is another arc
 id (or -1 for a root).
 
-The search itself is one explicit-stack loop (_Run._search): recursion
-depth can reach the edge count, and the hot path stays free of attribute
-lookups and string formatting unless tracing is on.
+The search itself is one loop over one explicit stack of invocations
+(_Run._search): recursion depth can reach the edge count.  An invocation
+started by a grow and one left pending by a blossom step are the same kind
+of frame, so the augment test is made in one place; blossom paths and
+trails come from one walk down the contracted forest (_Run._path_down).
+The hot path stays free of attribute lookups and string formatting unless
+tracing is on.
 
 A grow step scans its vertex's segment of the graph's g.inc_flat, skipping
 edges of the other M-type, and reads the far end of the edge it grows as
@@ -226,7 +230,7 @@ class BlockingResult:
     expanded: Optional[list] = None  # the expanded trails, once expand_all ran
 
 
-GROW, BLOSSOM, PENDING = 0, 1, 2
+GROW, BLOSSOM, START = 0, 1, 2
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
@@ -402,21 +406,32 @@ class _Run:
         if trace is not None:
             trace(f"search {sid} root {alpha} node {root}")
 
-        # The augment test runs when an invocation starts; here it is fused
-        # into the two spots that start invocations (grow and pending
-        # pushes).  The root invocation's arc is matched, so it never
-        # augments and goes straight to growing.
+        # One stack of invocations.  A frame is (node, arc, x, amu, state),
+        # with x the vertex of node and amu the M-type of arc.  Every
+        # invocation starts in START, which holds the augment test, and then
+        # grows; a grow pushes the current invocation as GROW, and a blossom
+        # step pushes it as BLOSSOM under the invocations that the step
+        # leaves pending, the first of them on top.
         frames: list = []
         node = root
         arc = root
         x = alpha
         amu = 1
-        state = GROW
-        pend = None
-        pidx = 0
+        state = START
 
         while True:
-            if state == GROW:
+            if state != BLOSSOM:
+                # the augment test: an unmatched arc to a deficient vertex,
+                # deficient twice over if it closes a trail at the root
+                if state == START and not amu and deficiency[x] > (x == alpha):
+                    deficiency[alpha] -= 1
+                    deficiency[x] -= 1
+                    self.n_arcs = n_arcs
+                    self.n_bl = n_bl
+                    self.trails.append(self._make_trail(alpha, root, x, node, arc))
+                    if trace is not None:
+                        trace(f"augment at {x} node {node} arc {arc}")
+                    return True
                 if amu:
                     closed = closed_u
                     cur = curu
@@ -448,49 +463,14 @@ class _Run:
                         self._on_new_arc(child)
                     if trace is not None:
                         trace(f"grow {x}->{y} edge {e} arc {child}")
-                    if not want and deficiency[y] > 0 and (y != alpha or deficiency[alpha] >= 2):
-                        deficiency[alpha] -= 1
-                        deficiency[y] -= 1
-                        self.n_arcs = n_arcs
-                        self.n_bl = n_bl
-                        self.trails.append(self._make_trail(alpha, y, child, child))
-                        if trace is not None:
-                            trace(f"augment at {y} node {child} arc {child}")
-                        return True
-                    frames.append((node, arc, x, amu, GROW, pend, pidx))
+                    frames.append((node, arc, x, amu, GROW))
                     node = child
                     arc = child
                     x = y
                     amu = want
+                    state = START
                     continue
                 state = BLOSSOM
-
-            elif state == PENDING:
-                if pidx < len(pend):
-                    pnode, parc = pend[pidx]
-                    pidx += 1
-                    y = fvertex[pnode]
-                    pm = fmatched[parc]
-                    if not pm and deficiency[y] > 0 and (y != alpha or deficiency[alpha] >= 2):
-                        deficiency[alpha] -= 1
-                        deficiency[y] -= 1
-                        self.n_arcs = n_arcs
-                        self.n_bl = n_bl
-                        self.trails.append(self._make_trail(alpha, y, pnode, parc))
-                        if trace is not None:
-                            trace(f"augment at {y} node {pnode} arc {parc}")
-                        return True
-                    frames.append((node, arc, x, amu, PENDING, pend, pidx))
-                    node = pnode
-                    arc = parc
-                    x = y
-                    amu = pm
-                    state = GROW
-                    pend = None
-                    pidx = 0
-                    continue
-                state = BLOSSOM
-                pend = None
 
             # state == BLOSSOM
             flag = vertex_blossom[x]
@@ -550,11 +530,9 @@ class _Run:
                     if trace is not None:
                         trace("blossom noop")
                     continue
-                pending = self._blossom_step(node, rn, rm)
-                if pending:
-                    state = PENDING
-                    pend = pending
-                    pidx = 0
+                frames.append((node, arc, x, amu, BLOSSOM))
+                frames += self._blossom_step(node, rn, rm)
+                node, arc, x, amu, state = frames.pop()
                 continue
 
             # nothing to pop: the invocation returns
@@ -588,29 +566,42 @@ class _Run:
                 self.n_arcs = n_arcs
                 self.n_bl = n_bl
                 return False
-            node, arc, x, amu, state, pend, pidx = frames.pop()
+            node, arc, x, amu, state = frames.pop()
 
     # -- steps -------------------------------------------------------------
 
-    def _blossom_step(self, node: int, rn: int, rm: int) -> list[tuple[int, int]]:
-        forest = self.forest
-        store = self.store
+    def _path_down(self, top: int, bottom: int) -> list[int]:
+        """The base arcs of the components below top down to bottom, top first.
 
-        # path P from the current component down to the popped one; walking
-        # contracted parents upward from rm must reach rn (property (*))
-        arcs_up: list[int] = []
-        cur = rm
-        while cur != rn:
+        Walks contracted parents upward from bottom, which must descend
+        from top.
+        """
+        tail = self.forest.tail
+        store = self.store
+        arcs: list[int] = []
+        cur = bottom
+        while cur != top:
             b = store.base_of_component(cur)
-            arcs_up.append(b)
-            t = forest.tail[b]
+            arcs.append(b)
+            t = tail[b]
             if t < 0:
                 raise StructuralError(
-                    "popped entry does not descend from the popping node"
+                    f"component {bottom} does not descend from component {top}"
                     + (("\n" + self._dump()) if self.check else "")
                 )
             cur = store.find(t)
-        path = arcs_up[::-1]
+        arcs.reverse()
+        return arcs
+
+    def _blossom_step(self, node: int, rn: int, rm: int) -> list[tuple[int, int, int, int, int]]:
+        """Contract the path from component rn down to the popped component rm.
+
+        Returns the START frames of the invocations the step leaves
+        pending, the first one last (on top of the stack).
+        """
+        forest = self.forest
+        store = self.store
+        path = self._path_down(rn, rm)  # property (*): rm descends from rn
 
         rec = store.root_record.pop(rn, None)
         children: list[Optional[BlossomRecord]] = []
@@ -647,26 +638,12 @@ class _Run:
         if self.check:
             self._check_blossom(rec, seg)
 
-        return [(forest.tail[a], a) for a in path[1:]]
+        tail, vertex, matched = forest.tail, forest.vertex, forest.matched
+        return [(tail[a], a, vertex[tail[a]], matched[a], START) for a in reversed(path[1:])]
 
-    def _make_trail(self, alpha: int, x: int, node: int, arc: int) -> Trail:
-        forest = self.forest
-        store = self.store
-        arcs_up: list[int] = []
-        cur = store.find(node)
-        while True:
-            b = store.base_of_component(cur)
-            if forest.edge[b] == ARTIFICIAL:
-                break
-            arcs_up.append(b)
-            cur = store.find(forest.tail[b])
-        return Trail(
-            root_vertex=alpha,
-            terminal_vertex=x,
-            arcs=tuple(reversed(arcs_up)),
-            final_node=node,
-            final_arc=arc,
-        )
+    def _make_trail(self, alpha: int, root: int, x: int, node: int, arc: int) -> Trail:
+        find = self.store.find
+        return Trail(alpha, x, tuple(self._path_down(find(root), find(node))), node, arc)
 
     # -- check-mode invariants -------------------------------------------
 
@@ -781,12 +758,19 @@ def find_trails(
         deficiencies.
 
     Raises:
-        ValueError: if f does not fit g, or the matching holds an unknown
-            edge id or violates a degree bound (validate_matching's checks).
+        ValueError: if f does not fit g, the matching holds an unknown
+            edge id or violates a degree bound (validate_matching's checks),
+            or order holds an unknown vertex id.
         CheckFailure: if check mode catches an invariant violation.
     """
     run = _Run(g, f, matching, check, trace)
-    run.run(compress(range(g.n), run.deficiency) if order is None else order)
+    if order is None:
+        order = compress(range(g.n), run.deficiency)
+    else:
+        for v in order:
+            if not 0 <= v < g.n:
+                raise ValueError(f"order contains unknown vertex id {v}")
+    run.run(order)
     run.check_final()
     run.forest.trim(run.n_arcs)
     run.store.trim(run.n_arcs)

@@ -271,12 +271,10 @@ def pi_trail(
     return (router or _Router(result)).route(rec, node, start_matched)
 
 
-def expand_trail(result: BlockingResult, trail: Trail, router: Optional[_Router] = None) -> GTrail:
+def expand_trail(result: BlockingResult, trail: Trail, router: _Router) -> GTrail:
     """Expand a contracted trail into an alternating trail of graph edges."""
     forest = result.forest
     store = result.blossoms
-    if router is None:
-        router = _Router(result)
 
     steps: list[Step] = []
     for a in trail.arcs:

@@ -99,6 +99,32 @@ def test_blossom_step_enables_augment():
     assert len(m2) == 3
 
 
+def test_pending_invocation_augments():
+    # only an invocation left pending by a blossom step can augment with
+    # node != arc: the step at node 2 contracts arcs 3, 4, 5 and leaves
+    # node 3 pending, entered through the unmatched arc 4 to vertex 2
+    g = Multigraph(5, [(3, 1), (2, 3), (2, 4), (3, 4)])
+    f = [1, 1, 2, 2, 1]
+    result, lines = traced(g, f, {1, 3})
+    assert lines == [
+        "search 0 root 0 node 0",
+        "return node 0 arc 0",
+        "search 1 root 1 node 1",
+        "grow 1->3 edge 0 arc 2",
+        "grow 3->2 edge 1 arc 3",
+        "grow 2->4 edge 2 arc 4",
+        "grow 4->3 edge 3 arc 5",
+        "return node 5 arc 5",
+        "return node 4 arc 4",
+        "return node 3 arc 3",
+        "pop at 3 entry node 5 arc 5",
+        "blossom base 2 path [3, 4, 5]",
+        "augment at 2 node 3 arc 4",
+    ]
+    assert [tuple(t) for t in result.trails] == [(1, 2, (2,), 3, 4)]
+    assert len(rematch(g, f, {1, 3}, expand_all(result))) == 3
+
+
 SKEW_EDGES = [(0, 1), (1, 5), (5, 2), (2, 5), (5, 3), (3, 5), (5, 4), (4, 6), (6, 5)]
 SKEW_F = [1, 1, 1, 1, 1, 3, 1]
 SKEW_M = {1, 3, 5, 7}
@@ -147,22 +173,25 @@ def test_invalid_matching_rejected():
 
 
 @pytest.mark.parametrize(
-    "f, matching, message",
+    "f, matching, message, order",
     [
-        ([1, 1, 2], {0, 1}, "matching violates degree bounds at vertices [0, 1]"),
-        ([1, 1, 2], {-1}, "matching contains unknown edge id -1"),
-        ([1, 1, 2], {3}, "matching contains unknown edge id 3"),
-        ([1, 1], set(), "degree bound vector has length 2, expected 3"),
-        ([1, -1, 2], set(), "degree bound f(1) = -1 is negative"),
+        ([1, 1, 2], {0, 1}, "matching violates degree bounds at vertices [0, 1]", None),
+        ([1, 1, 2], {-1}, "matching contains unknown edge id -1", None),
+        ([1, 1, 2], {3}, "matching contains unknown edge id 3", None),
+        ([1, 1], set(), "degree bound vector has length 2, expected 3", None),
+        ([1, -1, 2], set(), "degree bound f(1) = -1 is negative", None),
         # the checks run in this order: bounds, edge ids, degrees
-        ([1, 1], {0, 1, 3}, "degree bound vector has length 2, expected 3"),
-        ([1, 1, 2], {0, 1, 3}, "matching contains unknown edge id 3"),
+        ([1, 1], {0, 1, 3}, "degree bound vector has length 2, expected 3", None),
+        ([1, 1, 2], {0, 1, 3}, "matching contains unknown edge id 3", None),
+        # checked before the first search, where -1 would pass for vertex 2
+        ([1, 1, 2], set(), "order contains unknown vertex id -1", [0, -1]),
+        ([1, 1, 2], set(), "order contains unknown vertex id 3", [3]),
     ],
 )
-def test_find_trails_rejection_messages(f, matching, message):
+def test_find_trails_rejection_messages(f, matching, message, order):
     g = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
     with pytest.raises(ValueError) as info:
-        find_trails(g, f, matching)
+        find_trails(g, f, matching, order=order)
     assert str(info.value) == message
 
 
