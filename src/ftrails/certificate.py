@@ -124,7 +124,7 @@ def _residual(
     m = g.m
     trail = bytearray(m)
     for t in expand_all(result):
-        for e, _u, _v in t.steps:
+        for e in t.edges:
             trail[e] = 1
     before = bytearray(m)
     for e in result.matching:

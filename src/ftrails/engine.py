@@ -36,7 +36,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from operator import sub
+from operator import index, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .multigraph import Multigraph, check_bounds_and_ids
@@ -136,10 +136,6 @@ class Forest:
         del self.matched[count:]
         del self.tail[count:]
         del self.vertex[count:]
-
-    def tail_vertex(self, a: int) -> int:
-        t = self.tail[a]
-        return self.vertex[t] if t >= 0 else -1
 
 
 class BlossomStore:
@@ -760,16 +756,22 @@ def find_trails(
     Raises:
         ValueError: if f does not fit g, the matching holds an unknown
             edge id or violates a degree bound (validate_matching's checks),
-            or order holds an unknown vertex id.
+            or order holds an entry that is not a vertex id.
         CheckFailure: if check mode catches an invariant violation.
     """
     run = _Run(g, f, matching, check, trace)
     if order is None:
         order = compress(range(g.n), run.deficiency)
     else:
+        ids = []
         for v in order:
-            if not 0 <= v < g.n:
+            try:
+                ids.append(index(v))
+            except TypeError:
+                ids.append(-1)
+            if not 0 <= ids[-1] < g.n:
                 raise ValueError(f"order contains unknown vertex id {v}")
+        order = ids
     run.run(order)
     run.check_final()
     run.forest.trim(run.n_arcs)

@@ -9,6 +9,9 @@ M-type at v, an alternating trail from v to the base whose final edge
 stays compatible with the base edge.  They are read off the recorded
 closed-trail segments; no search over the subgraph is involved.
 
+A graph trail (GTrail) is its root, its terminal, its edge ids and its
+graph; its (edge, from, to) steps are derived from the root (walk).
+
 The nodes inside blossoms are numbered once per phase, in pre-order, so
 each record, nested or not, is one interval: placing a node is an interval
 test and a bisect, not a walk over every record that encloses it.
@@ -17,9 +20,9 @@ test and a bisect, not a walk over every record that encloses it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .engine import (
     BlockingResult,
@@ -30,24 +33,33 @@ from .engine import (
 )
 from .multigraph import Multigraph
 
-# One traversed edge: (edge id, from-vertex, to-vertex).
-Step = tuple[int, int, int]
-# Part of a route, and whether it is traversed backwards: a step or a
+# Part of a route, and whether it is traversed backwards: an edge id or a
 # sub-request (record, node, start_matched, seg_bound).
-Piece = tuple[bool, tuple]
+Piece = tuple[bool, int | tuple]
+
+
+def walk(g: Multigraph, start: int, edges: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """The (edge, from-vertex, to-vertex) steps of edges walked from start."""
+    exor = g.exor
+    for e in edges:
+        nxt = start ^ exor[e]
+        yield e, start, nxt
+        start = nxt
 
 
 @dataclass(frozen=True)
 class GTrail:
-    """An alternating trail in the graph, as traversed oriented edges."""
+    """An alternating trail in g: its root, terminal and edge ids in order."""
 
     root_vertex: int
     terminal_vertex: int
-    steps: tuple[Step, ...]
+    edges: tuple[int, ...]
+    g: Multigraph = field(repr=False, compare=False)
 
     @property
-    def edges(self) -> tuple[int, ...]:
-        return tuple(e for (e, _u, _v) in self.steps)
+    def steps(self) -> tuple[tuple[int, int, int], ...]:
+        """The trail as (edge, from-vertex, to-vertex) steps from the root."""
+        return tuple(walk(self.g, self.root_vertex, self.edges))
 
 
 class _Locator:
@@ -135,18 +147,10 @@ class _Router:
             loc = self._locators[rec] = _Locator(rec, self)
         return loc
 
-    def _down(self, a: int) -> Step:
-        f = self.forest
-        return (f.edge[a], f.tail_vertex(a), f.vertex[a])
-
-    def _up(self, a: int) -> Step:
-        f = self.forest
-        return (f.edge[a], f.vertex[a], f.tail_vertex(a))
-
     def route(
         self, rec: BlossomRecord, node: int, start_matched: bool, reverse: bool = False
-    ) -> list[Step]:
-        """Alternating trail from node's vertex to the base vertex of rec.
+    ) -> list[int]:
+        """Edge ids of an alternating trail from node's vertex to rec's base vertex.
 
         The first edge has the requested M-type; the last edge always has
         the M-type opposite the base edge, so the base edge extends the
@@ -155,16 +159,16 @@ class _Router:
         returned from the base vertex to node's vertex instead.
 
         One loop over a stack of (reversed, piece) pairs, where a piece is
-        a step or a sub-request (record, node, start_matched, seg_bound);
-        each step is appended once.  Raises StructuralError when the
-        structure does not support the request.
+        an edge id or a sub-request (record, node, start_matched,
+        seg_bound); each edge is appended once.  Raises StructuralError
+        when the structure does not support the request.
         """
-        out: list[Step] = []
+        out: list[int] = []
         stack: list[Piece] = [(reverse, (rec, node, start_matched, None))]
         while stack:
             rev, piece = stack.pop()
-            if len(piece) == 3:
-                out.append((piece[0], piece[2], piece[1]) if rev else piece)
+            if type(piece) is int:
+                out.append(piece)
             elif rev:
                 stack.extend((not r, p) for r, p in self._pieces(*piece))
             else:
@@ -221,12 +225,12 @@ class _Router:
         forest = self.forest
         seg = rec.segments[j]
         arcs, children = seg.arcs, seg.children
-        pieces: list[Piece] = [(False, self._up(arcs[i]))]
+        pieces: list[Piece] = [(False, forest.edge[arcs[i]])]
         for k in range(i, 0, -1):
             below, a = children[k - 1], arcs[k]
             if below is not None:
                 pieces.append((False, (below, forest.tail[a], not forest.matched[a], None)))
-            pieces.append((False, self._up(arcs[k - 1])))
+            pieces.append((False, forest.edge[arcs[k - 1]]))
         if j:
             pieces.append((False, (rec, seg.start_node, not forest.matched[arcs[0]], j)))
         return pieces
@@ -238,7 +242,7 @@ class _Router:
         last = len(arcs) - 1
         pieces: list[Piece] = []
         for k in range(i, last + 1):
-            pieces.append((False, self._down(arcs[k])))
+            pieces.append((False, forest.edge[arcs[k]]))
             if k < last and children[k] is not None:
                 a = arcs[k + 1]
                 pieces.append((True, (children[k], forest.tail[a], not forest.matched[a], None)))
@@ -261,14 +265,15 @@ def pi_trail(
     rec: BlossomRecord,
     start_matched: bool,
     router: Optional[_Router] = None,
-) -> list[Step]:
-    """Alternating trail inside a blossom from an occurrence to the base.
+) -> list[tuple[int, int, int]]:
+    """walk's steps of an alternating trail in a blossom from an occurrence to the base.
 
     The first edge has M-type start_matched; appending the base edge keeps
     the trail alternating.  Raises StructuralError when the blossom's
     recorded structure cannot supply the requested M-type at node.
     """
-    return (router or _Router(result)).route(rec, node, start_matched)
+    edges = (router or _Router(result)).route(rec, node, start_matched)
+    return list(walk(result.g, result.forest.vertex[node], edges))
 
 
 def expand_trail(result: BlockingResult, trail: Trail, router: _Router) -> GTrail:
@@ -276,31 +281,27 @@ def expand_trail(result: BlockingResult, trail: Trail, router: _Router) -> GTrai
     forest = result.forest
     store = result.blossoms
 
-    steps: list[Step] = []
+    edges: list[int] = []
     for a in trail.arcs:
         t = forest.tail[a]
         rec = store.root_record.get(store.find(t))
         if rec is not None:
-            steps += router.route(rec, t, not forest.matched[a], reverse=True)
-        steps.append((forest.edge[a], forest.tail_vertex(a), forest.vertex[a]))
+            edges += router.route(rec, t, not forest.matched[a], reverse=True)
+        edges.append(forest.edge[a])
 
     if forest.matched[trail.final_arc]:
         raise StructuralError("trail terminates on a matched arc")
     rec = store.root_record.get(store.find(trail.final_node))
     if rec is not None:
-        steps += router.route(rec, trail.final_node, False, reverse=True)
+        edges += router.route(rec, trail.final_node, False, reverse=True)
     elif trail.final_node != (trail.arcs[-1] if trail.arcs else -1):
         raise StructuralError("atomic trail terminal is not the last trail arc")
 
     # the root crossing (first component) was handled by the first arc's
-    # tail lookup above; fix up the start vertex from the root side
-    if steps and steps[0][1] != trail.root_vertex:
+    # tail lookup above
+    if edges and trail.root_vertex not in result.g.edges[edges[0]]:
         raise StructuralError("expanded trail does not start at the search root")
-    return GTrail(
-        root_vertex=trail.root_vertex,
-        terminal_vertex=trail.terminal_vertex,
-        steps=tuple(steps),
-    )
+    return GTrail(trail.root_vertex, trail.terminal_vertex, tuple(edges), result.g)
 
 
 def expand_all(result: BlockingResult) -> list[GTrail]:
@@ -319,22 +320,21 @@ def check_gtrail(g: Multigraph, matching: set[int], trail: GTrail) -> list[str]:
 def _trail_problems(g: Multigraph, is_matched, trail: GTrail) -> list[str]:
     """check_gtrail's problems, with is_matched(e) telling the M-type of e."""
     problems: list[str] = []
-    steps = trail.steps
-    if not steps:
+    edges = trail.edges
+    if not edges:
         return ["empty trail"]
     ends = g.edges
     m = len(ends)
     seen: set[int] = set()
     prev_matched = None
     at = trail.root_vertex
-    for e, u, v in steps:
-        if u != at:
-            problems.append(f"edge {e} does not continue the trail at {at}")
+    for e in edges:
         if not 0 <= e < m:
             return problems + [f"unknown edge id {e}"]
-        uv = ends[e]
-        if uv != (u, v) and uv != (v, u):
-            problems.append(f"edge {e} is not between {u} and {v}")
+        u, v = ends[e]
+        if at != u and at != v:
+            return problems + [f"edge {e} does not continue the trail at {at}"]
+        at = v if at == u else u
         if e in seen:
             problems.append(f"edge {e} repeats")
         seen.add(e)
@@ -342,10 +342,9 @@ def _trail_problems(g: Multigraph, is_matched, trail: GTrail) -> list[str]:
         if em == prev_matched:
             problems.append(f"no alternation entering edge {e}")
         prev_matched = em
-        at = v
     if at != trail.terminal_vertex:
         problems.append("trail does not end at its terminal vertex")
-    if is_matched(steps[0][0]) or is_matched(steps[-1][0]):
+    if is_matched(edges[0]) or is_matched(edges[-1]):
         problems.append("extreme edge is matched")
     return problems
 
@@ -374,7 +373,7 @@ def rematch(
         problems = _trail_problems(g, is_matched, t)
         if problems:
             raise ValueError(f"invalid augmenting trail: {problems[0]}")
-        for e, _u, _v in t.steps:
+        for e in t.edges:
             if flipped[e]:
                 raise ValueError(f"trails are not edge-disjoint: edge {e}")
             flipped[e] = 1

@@ -210,9 +210,7 @@ def pull_back_trail(trail: GTrail, smap: SubstituteMap) -> PulledBackTrail:
                 )
         if base_uses >= 2 and eta is None and spec.base_edge is not None:
             raise ValueError(f"trail passes the base of blossom {bi} off its base edge")
-        out.crossings.append(
-            Crossing(blossom=bi, entry_edge=eta, exit_edge=side)
-        )
+        out.crossings.append(Crossing(blossom=bi, entry_edge=eta, exit_edge=side))
         out.edges.append(None)
         run.clear()
         active = None

@@ -345,14 +345,7 @@ def crossing_pattern_sets(g, f, matching, spec, contracted):
     g2, f2, m2, smap = build_substitute(g, f, matching, [spec])
     rhs = set()
     for edges_seq, a, b in enumerate_augmenting_trails(g2, f2, m2):
-        at = a
-        steps = []
-        for e in edges_seq:
-            u, v = g2.edges[e]
-            nxt = v if u == at else u
-            steps.append((e, at, nxt))
-            at = nxt
-        pulled = pull_back_trail(GTrail(a, b, tuple(steps)), smap)
+        pulled = pull_back_trail(GTrail(a, b, tuple(edges_seq), g2), smap)
         for crossing in pulled.crossings:
             if crossing.entry_edge is not None and crossing.exit_edge is not None:
                 rhs.add(crossing.exit_edge)

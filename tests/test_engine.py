@@ -186,6 +186,9 @@ def test_invalid_matching_rejected():
         # checked before the first search, where -1 would pass for vertex 2
         ([1, 1, 2], set(), "order contains unknown vertex id -1", [0, -1]),
         ([1, 1, 2], set(), "order contains unknown vertex id 3", [3]),
+        # entries go through operator.index: no float or string passes
+        ([1, 1, 2], set(), "order contains unknown vertex id 1.0", [1.0]),
+        ([1, 1, 2], set(), "order contains unknown vertex id 1", ["1"]),
     ],
 )
 def test_find_trails_rejection_messages(f, matching, message, order):
@@ -193,6 +196,12 @@ def test_find_trails_rejection_messages(f, matching, message, order):
     with pytest.raises(ValueError) as info:
         find_trails(g, f, matching, order=order)
     assert str(info.value) == message
+
+
+def test_find_trails_runs_on_int_order_entries():
+    g = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
+    (trail,) = find_trails(g, [1, 1, 2], set(), order=[True]).trails
+    assert trail.root_vertex == 1 and type(trail.root_vertex) is int
 
 
 def test_each_edge_grown_at_most_once():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ftrails.engine import StructuralError, find_trails
+from ftrails.engine import ARTIFICIAL, StructuralError, find_trails
 from ftrails.expand import GTrail, _Router, check_gtrail, expand_all, pi_trail, rematch
 from ftrails.multigraph import Multigraph, deficiency
 from helpers import (
@@ -11,6 +11,7 @@ from helpers import (
     deep_nesting_phases,
     random_instance,
     random_valid_matching,
+    run_phases,
     validate_blossoms,
 )
 
@@ -153,25 +154,82 @@ def test_expanded_trails_validate_on_randoms():
         assert validate_blossoms(result) == []
 
 
-# a path 0-1-2-3 plus edge 3 parallel to edge 0
-PATH3 = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 1)])
+def path_trail_result():
+    # one contracted trail 0-1-2-3 of three atomic arcs, edge 1 matched
+    result = find_trails(Multigraph(4, [(0, 1), (1, 2), (2, 3)]), [1] * 4, {1}, check=True)
+    (trail,) = result.trails
+    assert len(trail.arcs) == 3 and trail.root_vertex == 0
+    return result, trail
+
+
+def test_expand_rejects_a_trail_off_the_search_root():
+    result, trail = path_trail_result()
+    result.trails[0] = trail._replace(root_vertex=3)
+    with pytest.raises(StructuralError, match="does not start at the search root"):
+        expand_all(result)
+
+
+def test_expand_rejects_a_matched_final_arc():
+    result, trail = path_trail_result()
+    forest = result.forest
+    matched_arc = next(
+        a for a in range(len(forest.edge)) if forest.matched[a] and forest.edge[a] != ARTIFICIAL
+    )
+    result.trails[0] = trail._replace(final_arc=matched_arc)
+    with pytest.raises(StructuralError, match="terminates on a matched arc"):
+        expand_all(result)
+
+
+def test_expand_rejects_an_atomic_terminal_off_the_last_arc():
+    result, trail = path_trail_result()
+    result.trails[0] = trail._replace(final_node=trail.arcs[0])
+    with pytest.raises(StructuralError, match="atomic trail terminal is not the last trail arc"):
+        expand_all(result)
+
+
+def test_steps_are_derived_from_the_root_and_the_edges():
+    # a seeded solve whose graph has loops and parallel edges and whose
+    # trails cross blossoms and traverse loops
+    rng = random.Random(1)
+    n, m = 40, 160
+    g = Multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+    f = [rng.randint(1, 3) for _ in range(n)]
+    assert len(set(map(frozenset, g.edges))) < m and any(u == v for u, v in g.edges)
+    _m, results = run_phases(g, f, set())
+    assert sum(len(r.blossoms.base_record) for r in results) > 0
+    loops = 0
+    for result in results:
+        for t in expand_all(result):
+            steps = t.steps
+            assert tuple(e for e, _u, _v in steps) == t.edges
+            assert steps[0][1] == t.root_vertex and steps[-1][2] == t.terminal_vertex
+            for (_e, _u, v), (_e2, u2, _v2) in zip(steps, steps[1:]):
+                assert v == u2
+            for e, u, v in steps:
+                assert g.edges[e] in ((u, v), (v, u))
+                loops += u == v
+    assert loops > 0
+
+
+# a path 0-1-2-3 plus edge 3 parallel to edge 0 and loop 4 at vertex 1
+PATH3 = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 1), (1, 1)])
 
 
 @pytest.mark.parametrize(
-    "steps, terminal, matching, expected",
+    "edges, terminal, matching, expected",
     [
         ((), 3, set(), ["empty trail"]),
-        (((0, 0, 1), (2, 3, 2), (1, 2, 1)), 1, {2}, ["edge 2 does not continue the trail at 1"]),
-        (((1, 0, 1),), 1, set(), ["edge 1 is not between 0 and 1"]),
-        (((0, 0, 1), (3, 1, 0), (0, 0, 1)), 1, {3}, ["edge 0 repeats"]),
-        (((0, 0, 1), (1, 1, 2)), 2, set(), ["no alternation entering edge 1"]),
-        (((0, 0, 1), (1, 1, 2), (2, 2, 3)), 2, {1}, ["trail does not end at its terminal vertex"]),
-        (((0, 0, 1), (1, 1, 2)), 2, {1}, ["extreme edge is matched"]),
+        ((0, 2, 1), 1, {2}, ["edge 2 does not continue the trail at 1"]),
+        ((0, 3, 0), 1, {3}, ["edge 0 repeats"]),
+        ((0, 1), 2, set(), ["no alternation entering edge 1"]),
+        ((0, 1, 2), 2, {1}, ["trail does not end at its terminal vertex"]),
+        ((0, 1), 2, {1}, ["extreme edge is matched"]),
+        ((0, 4, 1), 2, {4}, []),
     ],
-    ids=["empty", "continuation", "endpoints", "repeat", "alternation", "terminal", "extreme"],
+    ids=["empty", "continuation", "repeat", "alternation", "terminal", "extreme", "loop"],
 )
-def test_check_gtrail_problem_messages(steps, terminal, matching, expected):
-    trail = GTrail(root_vertex=0, terminal_vertex=terminal, steps=steps)
+def test_check_gtrail_problem_messages(edges, terminal, matching, expected):
+    trail = GTrail(root_vertex=0, terminal_vertex=terminal, edges=edges, g=PATH3)
     assert check_gtrail(PATH3, matching, trail) == expected
 
 
@@ -231,7 +289,7 @@ def test_rematch_rejects_overlapping_trails():
 
 def test_rematch_rejects_non_alternating():
     g = Multigraph(3, [(0, 1), (1, 2)])
-    bogus = GTrail(root_vertex=0, terminal_vertex=2, steps=((0, 0, 1), (1, 1, 2)))
+    bogus = GTrail(root_vertex=0, terminal_vertex=2, edges=(0, 1), g=g)
     with pytest.raises(ValueError):
         rematch(g, [1, 1, 1], set(), [bogus])
 
@@ -240,7 +298,7 @@ def test_rematch_rejects_trail_ending_at_saturated_vertex():
     # vertex 1 is saturated by edge 1; a one-edge "trail" onto it
     # alternates, but flipping it pushes vertex 1 over its bound
     g = Multigraph(3, [(0, 1), (1, 2)])
-    bogus = GTrail(root_vertex=0, terminal_vertex=1, steps=((0, 0, 1),))
+    bogus = GTrail(root_vertex=0, terminal_vertex=1, edges=(0,), g=g)
     with pytest.raises(ValueError, match=r"rematching violates degree bounds at \[1\]"):
         rematch(g, [1, 1, 1], {1}, [bogus])
 
@@ -248,7 +306,7 @@ def test_rematch_rejects_trail_ending_at_saturated_vertex():
 @pytest.mark.parametrize("e", [-1, 2])
 def test_rematch_rejects_unknown_edge_id(e):
     g = Multigraph(2, [(0, 1), (0, 1)])
-    bogus = GTrail(root_vertex=0, terminal_vertex=1, steps=((e, 0, 1),))
+    bogus = GTrail(root_vertex=0, terminal_vertex=1, edges=(e,), g=g)
     with pytest.raises(ValueError, match=f"unknown edge id {e}"):
         rematch(g, [2, 2], set(), [bogus])
 

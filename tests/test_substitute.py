@@ -93,7 +93,7 @@ def test_pull_back_identity_away_from_gadget():
     g = Multigraph(5, g.edges + [(3, 4)])
     g2, _f2, _m2, smap = build_substitute(g, f, m, [spec])
     ne = smap.edge_map[6]
-    pulled = pull_back_trail(GTrail(3, 4, ((ne, 3, 4),)), smap)
+    pulled = pull_back_trail(GTrail(3, 4, (ne,), g2), smap)
     assert pulled.edges == [6] and pulled.crossings == []
 
 
@@ -101,7 +101,7 @@ def test_pull_back_reports_crossing():
     g, f, m, spec = light_instance()
     g2, _f2, _m2, smap = build_substitute(g, f, m, [spec])
     em = smap.edge_map
-    trail = GTrail(3, 4, ((em[3], 3, 0), (smap.new_edges[0], 0, 5), (em[4], 5, 4)))
+    trail = GTrail(3, 4, (em[3], smap.new_edges[0], em[4]), g2)
     pulled = pull_back_trail(trail, smap)
     assert pulled.edges == [None]
     (crossing,) = pulled.crossings
@@ -112,9 +112,9 @@ def test_pull_back_rejects_double_visit():
     g, f, m, spec = light_instance()
     g2, _f2, _m2, smap = build_substitute(g, f, m, [spec])
     em = smap.edge_map
-    steps = ((em[5], 4, 0), (smap.new_edges[0], 0, 5), (em[4], 5, 4), (em[5], 4, 0))
+    edges = (em[5], smap.new_edges[0], em[4], em[5])
     with pytest.raises(ValueError):
-        pull_back_trail(GTrail(4, 0, steps), smap)
+        pull_back_trail(GTrail(4, 0, edges, g2), smap)
 
 
 @pytest.mark.parametrize("kind", [LIGHT, HEAVY])
