@@ -117,7 +117,7 @@ def _codes(result: BlockingResult, in_complete: bytearray) -> bytearray:
 
 def _residual(
     result: BlockingResult, inside: bytearray
-) -> tuple[bytes, bytes, bytearray, list[int]]:
+) -> tuple[bytes, bytes, bytes, list[int]]:
     """Flags of the residual edges, of the residual matching and of the
     matching the run started from, and f'."""
     g = result.g
@@ -126,9 +126,7 @@ def _residual(
     for t in expand_all(result):
         for e in t.edges:
             trail[e] = 1
-    before = bytearray(m)
-    for e in result.matching:
-        before[e] = 1
+    before = result.matched
     residual = _bytewise(or_, trail.translate(_FLIP), inside)
     matched = _bytewise(and_, _bytewise(xor, before, trail), residual)
     f_prime = list(result.def_final)

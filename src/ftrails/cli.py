@@ -30,7 +30,7 @@ from .certificate import (
 )
 from .engine import CheckFailure, StructuralError
 from .driver import max_f_matching, run_phase
-from .multigraph import Multigraph, validate_matching
+from .multigraph import Multigraph, match_state, validate_matching
 
 
 @dataclass
@@ -123,11 +123,12 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_block(args: argparse.Namespace, out: TextIO) -> int:
     inst = _load(args.instance)
     trace = (lambda s: print(s, file=sys.stderr)) if args.trace else None
-    result, trails, rematched = run_phase(inst.g, inst.f, inst.matching, args.check, trace)
+    state = match_state(inst.g, inst.f, inst.matching)
+    result, trails, rematched = run_phase(inst.g, inst.f, state, args.check, trace)
     print(f"trails {len(trails)}", file=out)
     for t in trails:
         print(" ".join(str(e + 1) for e in t.edges), file=out)
-    print(f"size {len(rematched)}", file=out)
+    print(f"size {rematched.flags.count(1)}", file=out)
     report = verify(result)
     print(f"bound {report.bound}", file=out)
     print(f"residual {report.residual_size}", file=out)

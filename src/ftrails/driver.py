@@ -10,12 +10,13 @@ bounds every f-matching of the input and proves global maximality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Optional
 
 from .certificate import CertificateReport, verify
 from .engine import BlockingResult, StructuralError, find_trails
 from .expand import GTrail, expand_all, rematch
-from .multigraph import Multigraph
+from .multigraph import MatchState, Multigraph, match_state
 
 
 @dataclass
@@ -32,18 +33,19 @@ class SolveReport:
 def run_phase(
     g: Multigraph,
     f: list[int],
-    matching: set[int],
+    state: MatchState,
     check: bool = False,
     trace: Optional[Callable[[str], None]] = None,
-) -> tuple[BlockingResult, list[GTrail], set[int]]:
+) -> tuple[BlockingResult, list[GTrail], MatchState]:
     """One blocking phase: find the trails, expand them and rematch.
 
     Returns the contracted run (for verify), the expanded trails and the
-    rematched matching, a new set even when no trail was found.
+    rematched state, a new one even when no trail was found; state itself
+    is left as it was.
     """
-    result = find_trails(g, f, matching, check=check, trace=trace)
+    result = find_trails(g, f, state, check=check, trace=trace)
     trails = expand_all(result)
-    return result, trails, rematch(g, f, matching, trails)
+    return result, trails, rematch(g, f, state, trails)
 
 
 def max_f_matching(
@@ -55,11 +57,17 @@ def max_f_matching(
 ) -> SolveReport:
     """Compute a maximum-cardinality f-matching with a verified certificate.
 
+    The solve holds one MatchState: it is built from init once, with
+    validate_matching's checks, and each phase's rematch makes the next
+    one in time linear in its trails.  The matching set is built once,
+    from the final state.
+
     Parameters:
         g: the multigraph.
         f: per-vertex degree bounds.
         init: optional starting matching (defaults to empty).
-        check: enable engine invariant assertions on every phase.
+        check: enable engine invariant assertions on every phase, the
+            carried state's deficiencies included.
         trace: optional per-step trace sink.
 
     Returns:
@@ -67,15 +75,14 @@ def max_f_matching(
         the final (verified) optimality certificate.
 
     Raises:
-        ValueError: if f does not fit g or the initial matching is invalid;
-            the first phase's set-up makes validate_matching's checks.
+        ValueError: if f does not fit g or the initial matching is invalid.
         StructuralError: if the final certificate fails verification.
     """
-    matching = set(init) if init is not None else set()
+    state = match_state(g, f, set(init) if init is not None else set())
     phi = sum(f)
     trail_counts: list[int] = []
     while True:
-        result, trails, rematched = run_phase(g, f, matching, check, trace)
+        result, trails, rematched = run_phase(g, f, state, check, trace)
         if not trails:
             report = verify(result)
             if not report.ok:
@@ -83,9 +90,11 @@ def max_f_matching(
                     "certificate verification failed: " + "; ".join(report.failures)
                 )
             return SolveReport(
-                matching=matching, trail_counts=trail_counts + [0], certificate=report
+                matching=set(compress(range(g.m), state.flags)),
+                trail_counts=trail_counts + [0],
+                certificate=report,
             )
-        matching = rematched
+        state = rematched
         trail_counts.append(len(trails))
         if len(trail_counts) > phi // 2 + 1:
             raise StructuralError("phase count exceeded the termination bound")

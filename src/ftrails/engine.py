@@ -25,10 +25,13 @@ A grow step scans its vertex's segment of the graph's g.inc_flat, skipping
 edges of the other M-type, and reads the far end of the edge it grows as
 x ^ g.exor[e] from one array.
 
-A run's set-up is one Python pass over the matching plus flat buffers that
-C code fills; the set-up also makes validate_matching's checks, with its
-messages.  Without an explicit order only the vertices deficient at set-up
-root searches, in ascending order: a deficiency never rises during a run.
+A matching reaches a run as a set of edge ids or as a MatchState: per-edge
+matched flags plus per-vertex deficiencies.  From a set, the set-up builds
+the state (match_state), which makes validate_matching's checks with its
+messages; a carried state, which a solve's phases take from rematch, is
+copied in C after shape checks.  Without an explicit order only the
+vertices deficient at set-up root searches, in ascending order: a
+deficiency never rises during a run.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from itertools import compress
 from operator import index, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .multigraph import Multigraph, check_bounds_and_ids
+from .multigraph import MatchState, Multigraph, checked_degrees, match_state
 
 ARTIFICIAL = -1
 
@@ -211,12 +214,26 @@ class Trail(NamedTuple):
     final_arc: int
 
 
+def _check_carried(g: Multigraph, f: list[int], state: MatchState, check: bool) -> None:
+    """Shape checks on a carried state, at C speed; check mode also
+    recomputes the deficiencies from the flags."""
+    flags, deficiency = state
+    if len(flags) != g.m or flags.translate(None, b"\x00\x01"):
+        raise ValueError(f"matching state needs {g.m} flags, each 0 or 1")
+    if len(deficiency) != g.n or (g.n and min(deficiency) < 0):
+        raise ValueError(f"matching state needs {g.n} deficiencies, none negative")
+    if check:
+        deg = checked_degrees(g, f, list(compress(range(g.m), flags)))
+        if list(map(sub, f, deg)) != list(deficiency):
+            raise CheckFailure("carried deficiencies disagree with the matched flags")
+
+
 @dataclass
 class BlockingResult:
     """Everything a find_trails run produced, kept contracted."""
 
     g: Multigraph
-    matching: set[int]
+    matched: bytes  # the flags of the matching the run started from
     trails: list[Trail]
     forest: Forest
     blossoms: BlossomStore
@@ -235,31 +252,15 @@ class _Run:
     def __init__(
         self,
         g: Multigraph,
-        f: list[int],
-        matching: set[int],
+        state: MatchState,
         check: bool,
         trace: Optional[Callable[[str], None]],
     ) -> None:
         self.g = g
         self.check = check
         self.trace = trace
-
-        # validate_matching's checks, in its order and with its messages,
-        # around the one pass over the matching
-        check_bounds_and_ids(g, f, matching)
         n = g.n
-        edges = g.edges
-        matched = bytearray(g.m)
-        deg = [0] * n
-        for e in matching:
-            matched[e] = 1
-            u, v = edges[e]
-            deg[u] += 1
-            deg[v] += 1
-        self.deficiency = array("i", map(sub, f, deg))
-        if n and min(self.deficiency) < 0:
-            bad = [v for v in range(n) if self.deficiency[v] < 0]
-            raise ValueError(f"matching violates degree bounds at vertices {bad}")
+        self.deficiency = array("i", state.deficiency)
 
         # Grow scans walk the graph's flat incidence lists (the segment of
         # x ends at inc_end[x]) with a forward cursor per vertex and M-type,
@@ -268,11 +269,11 @@ class _Run:
         # was found.  Lists are in edge-id order, so a scan meets the edges
         # of its type in edge-id order.  With nothing matched, the matched
         # cursors start at the segment ends.
-        self.closed_u = matched
-        self.closed_m = matched.translate(_FLIP)
+        self.closed_u = bytearray(state.flags)
+        self.closed_m = self.closed_u.translate(_FLIP)
         self.inc_end = g.inc_off[1:]
         self.cur_unmatched = g.inc_off[:n]
-        self.cur_matched = g.inc_off[:n] if matching else g.inc_off[1:]
+        self.cur_matched = g.inc_off[:n] if 1 in state.flags else g.inc_off[1:]
 
         # per-vertex FIFO lists of returned invocations awaiting blossom
         # steps (the first pop must return the first entry), flattened into
@@ -726,7 +727,7 @@ class _Run:
 def find_trails(
     g: Multigraph,
     f: list[int],
-    matching: set[int],
+    matching: set[int] | MatchState,
     order: Optional[Sequence[int]] = None,
     check: bool = False,
     trace: Optional[Callable[[str], None]] = None,
@@ -743,23 +744,32 @@ def find_trails(
     Parameters:
         g: the multigraph.
         f: per-vertex degree bounds.
-        matching: set of edge ids; must be a valid f-matching.
+        matching: a valid f-matching, as a set of edge ids or as the
+            MatchState that rematch returned for the previous phase; a
+            state is copied, never mutated.
         order: optional iteration order over the vertices.
-        check: enable internal invariant assertions (slow).
+        check: enable internal invariant assertions (slow); a carried
+            state's deficiencies are then recomputed from its flags.
         trace: optional sink receiving one line per search step.
 
     Returns:
-        A BlockingResult holding the trails, the search forest, the
-        blossom store, per-vertex first-returned arcs and the final
-        deficiencies.
+        A BlockingResult holding the starting flags, the trails, the
+        search forest, the blossom store, per-vertex first-returned arcs
+        and the final deficiencies.
 
     Raises:
         ValueError: if f does not fit g, the matching holds an unknown
             edge id or violates a degree bound (validate_matching's checks),
-            or order holds an entry that is not a vertex id.
+            a carried state has the wrong shape, or order holds an entry
+            that is not a vertex id.
         CheckFailure: if check mode catches an invariant violation.
     """
-    run = _Run(g, f, matching, check, trace)
+    if isinstance(matching, MatchState):
+        _check_carried(g, f, matching, check)
+        state = matching
+    else:
+        state = match_state(g, f, matching)
+    run = _Run(g, state, check, trace)
     if order is None:
         order = compress(range(g.n), run.deficiency)
     else:
@@ -778,7 +788,7 @@ def find_trails(
     run.store.trim(run.n_arcs)
     return BlockingResult(
         g=g,
-        matching=set(matching),
+        matched=state.flags,
         trails=run.trails,
         forest=run.forest,
         blossoms=run.store,

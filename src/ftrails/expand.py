@@ -19,6 +19,7 @@ test and a bisect, not a walk over every record that encloses it.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import compress
@@ -31,7 +32,7 @@ from .engine import (
     Trail,
     _arc_child_pairs,
 )
-from .multigraph import Multigraph
+from .multigraph import MatchState, Multigraph, match_state
 
 # Part of a route, and whether it is traversed backwards: an edge id or a
 # sub-request (record, node, start_matched, seg_bound).
@@ -352,37 +353,44 @@ def _trail_problems(g: Multigraph, is_matched, trail: GTrail) -> list[str]:
 def rematch(
     g: Multigraph,
     f: list[int],
-    matching: set[int],
+    matching: set[int] | MatchState,
     trails: list[GTrail],
-) -> set[int]:
+) -> set[int] | MatchState:
     """Symmetric difference of the matching with a set of augmenting trails.
 
-    matching must be a valid f-matching.  The trails must be pairwise
-    edge-disjoint alternating trails with deficient endpoints; any
-    violation signals an engine bug and raises.  The result is a valid
-    matching exactly one edge larger per trail.
+    matching must be a valid f-matching, as a set of edge ids or as a
+    MatchState, and the result is of the same kind.  A state is left as it
+    was; applying the trails to it costs their length plus copies in C.
+    The trails must be pairwise edge-disjoint alternating trails with
+    deficient endpoints; any violation signals an engine bug and raises.
+    The result is a valid matching exactly one edge larger per trail.
     """
-    # flags, not sets, for the M-types and the edges taken: probing a set
-    # this large costs more than indexing bytes
-    matched = bytearray(g.m)
-    for e in matching:
-        matched[e] = 1
-    is_matched = matched.__getitem__
-    flipped = bytearray(g.m)
+    state = matching if isinstance(matching, MatchState) else match_state(g, f, matching)
+    before = state.flags
+    is_matched = before.__getitem__
+    flags = bytearray(before)
+    deficiency = array("i", state.deficiency)
+    grown = 0
     for t in trails:
         problems = _trail_problems(g, is_matched, t)
         if problems:
             raise ValueError(f"invalid augmenting trail: {problems[0]}")
+        # the trail repeats no edge, so a flag already flipped is another
+        # trail's edge
         for e in t.edges:
-            if flipped[e]:
+            if flags[e] != before[e]:
                 raise ValueError(f"trails are not edge-disjoint: edge {e}")
-            flipped[e] = 1
-    out = matching.symmetric_difference(compress(range(g.m), flipped))
-    # alternation keeps every interior degree; only the trail ends gain
+            flags[e] ^= 1
+            grown += 1 - 2 * before[e]
+        # alternation keeps every interior degree; only the trail ends gain
+        deficiency[t.root_vertex] -= 1
+        deficiency[t.terminal_vertex] -= 1
     ends = {v for t in trails for v in (t.root_vertex, t.terminal_vertex)}
-    bad = sorted(v for v in ends if g.degree(v, out) > f[v])
+    bad = sorted(v for v in ends if deficiency[v] < 0)
     if bad:
         raise ValueError(f"rematching violates degree bounds at {bad}")
-    if len(out) != len(matching) + len(trails):
+    if grown != len(trails):
         raise ValueError("rematching did not grow the matching by one per trail")
-    return out
+    if state is matching:
+        return MatchState(bytes(flags), deficiency)
+    return set(compress(range(g.m), flags))

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate, compress, starmap
-from operator import gt, xor
+from operator import gt, sub, xor
+from typing import NamedTuple
 
 
 class Multigraph:
@@ -62,25 +63,25 @@ class Multigraph:
         a, b = self.edges[e]
         return b if a == v else a
 
-    def degree(self, v: int, members: set[int] | frozenset[int]) -> int:
-        """Degree of v in the subgraph given by a set of edge ids.
-
-        Loops count twice.
-        """
-        edges = self.edges
-        d = 0
-        for e in filter(members.__contains__, self.inc_flat[self.inc_off[v] : self.inc_off[v + 1]]):
-            a, b = edges[e]
-            d += 2 if a == b else 1
-        return d
-
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, m={self.m})"
 
 
-def check_bounds_and_ids(g: Multigraph, f: list[int], matching: set[int]) -> None:
+class MatchState(NamedTuple):
+    """A matching as flags[e] (1 when edge e is matched) and deficiency[v]
+    (f(v) minus the matched degree of v, a loop counting twice).
+
+    Never mutated once made: find_trails and rematch copy what they change.
+    """
+
+    flags: bytes
+    deficiency: array
+
+
+def checked_degrees(g: Multigraph, f: list[int], matching: set[int]) -> list[int]:
     """Validate a per-vertex degree bound vector and a matching's edge ids
-    against g; raises ValueError.  Degrees are left to the caller."""
+    against g, raising ValueError; then the degree of each vertex in the
+    matching, a loop counting twice."""
     if len(f) != g.n:
         raise ValueError(f"degree bound vector has length {len(f)}, expected {g.n}")
     if f and min(f) < 0:
@@ -90,11 +91,27 @@ def check_bounds_and_ids(g: Multigraph, f: list[int], matching: set[int]) -> Non
     if matching and (min(matching) < 0 or max(matching) >= m):
         e = next(e for e in matching if not 0 <= e < m)
         raise ValueError(f"matching contains unknown edge id {e}")
+    deg = [0] * g.n
+    for u, v in map(g.edges.__getitem__, matching):
+        deg[u] += 1
+        deg[v] += 1
+    return deg
 
 
-def deficiency(g: Multigraph, f: list[int], matching: set[int], v: int) -> int:
-    """f(v) minus the degree of v in the matching, loops counted twice."""
-    return f[v] - g.degree(v, matching)
+def match_state(g: Multigraph, f: list[int], matching: set[int]) -> MatchState:
+    """The state of a set of edge ids.
+
+    Makes validate_matching's checks, in its order and with its messages,
+    and raises ValueError where it would report a fault.
+    """
+    deficiency = array("i", map(sub, f, checked_degrees(g, f, matching)))
+    if g.n and min(deficiency) < 0:
+        bad = [v for v in range(g.n) if deficiency[v] < 0]
+        raise ValueError(f"matching violates degree bounds at vertices {bad}")
+    flags = bytearray(g.m)
+    for e in matching:
+        flags[e] = 1
+    return MatchState(bytes(flags), deficiency)
 
 
 def validate_matching(g: Multigraph, f: list[int], matching: set[int]) -> list[int]:
@@ -103,9 +120,4 @@ def validate_matching(g: Multigraph, f: list[int], matching: set[int]) -> list[i
     Empty result means the matching is a valid f-matching.  Edge ids out of
     range raise ValueError.
     """
-    check_bounds_and_ids(g, f, matching)
-    deg = [0] * g.n
-    for u, v in map(g.edges.__getitem__, matching):
-        deg[u] += 1
-        deg[v] += 1
-    return list(compress(range(g.n), map(gt, deg, f)))
+    return list(compress(range(g.n), map(gt, checked_degrees(g, f, matching), f)))

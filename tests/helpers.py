@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+from itertools import compress
 
 from ftrails.cli import main, parse_instance
 from ftrails.engine import BlockingResult, StructuralError, find_trails
@@ -70,6 +71,11 @@ def deep_nesting_phases():
         matching = rematch(inst.g, inst.f, matching, expand_all(result))
 
 
+def matched_set(result: BlockingResult) -> set[int]:
+    """The edge ids of the matching a run started from."""
+    return set(compress(range(result.g.m), result.matched))
+
+
 def all_records(result: BlockingResult):
     stack = list(result.blossoms.root_record.values())
     while stack:
@@ -85,7 +91,7 @@ def _check_pi_steps(result, rec, node, steps, start_matched, edge_set):
     """Violations of one pi_trail output against its contract."""
     g = result.g
     forest = result.forest
-    matching = result.matching
+    matched = result.matched
     beta_vertex = forest.vertex[rec.base_node]
     eta_matched = bool(forest.matched[rec.base_node])
     problems = []
@@ -103,7 +109,7 @@ def _check_pi_steps(result, rec, node, steps, start_matched, edge_set):
             problems.append("step does not match its edge")
         if e not in edge_set:
             problems.append(f"edge {e} escapes the blossom subgraph")
-        em = e in matching
+        em = bool(matched[e])
         if prev is None:
             if em != start_matched:
                 problems.append("wrong first M-type")
@@ -131,6 +137,7 @@ def validate_blossoms(result: BlockingResult, complete_only: bool = True) -> lis
     g = result.g
     forest = result.forest
     router = _Router(result)
+    matching = matched_set(result)
     failures: list[str] = []
     for rec in all_records(result):
         if complete_only and not rec.complete:
@@ -158,7 +165,7 @@ def validate_blossoms(result: BlockingResult, complete_only: bool = True) -> lis
                     forest.vertex[node],
                     beta_vertex,
                     start_matched,
-                    result.matching,
+                    matching,
                     end_matched=(not eta_matched) if steps else None,
                     allow_empty=not steps,
                 )

@@ -145,6 +145,12 @@ def _set(seq, i, value):
     seq[i] = value
 
 
+def _match_edge(result, e):
+    flags = bytearray(result.matched)
+    flags[e] = 1
+    result.matched = bytes(flags)
+
+
 def _uncomplete(result):
     result.blossoms.maximal_complete()[0].complete = False
 
@@ -179,7 +185,7 @@ VERIFY_TAMPERS = {
     ),
     "component-matching": (
         pendant_triangle_result,
-        lambda r: r.matching.add(3),
+        lambda r: _match_edge(r, 3),
         [
             "component [0, 1, 2] has 1 matched edges against bound term 2",
             "bound 3 != residual matching size 2",

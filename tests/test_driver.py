@@ -5,7 +5,7 @@ import pytest
 from ftrails.cli import main, parse_instance
 from ftrails.driver import max_f_matching
 from ftrails.multigraph import Multigraph
-from helpers import random_instance, random_valid_matching
+from helpers import random_instance, random_valid_matching, run_phases
 from oracle import brute_max
 
 PETERSEN = [
@@ -43,7 +43,7 @@ def test_initial_matching_respected():
 
 
 def test_invalid_init_rejected():
-    # the first phase's set-up rejects it, before any search
+    # the solve's set-up rejects it, before any search
     g = Multigraph(2, [(0, 1), (0, 1)])
     with pytest.raises(ValueError, match=r"^matching violates degree bounds at vertices \[0, 1\]$"):
         max_f_matching(g, [1, 1], init={0, 1})
@@ -61,6 +61,20 @@ def test_monotone_phases_and_termination():
         assert report.certificate.ok
         if g.m <= 13:
             assert len(report.matching) == brute_max(g, f)[0]
+
+
+def test_solve_matches_set_path_phases():
+    # the carried state gives the matching and trail counts that phases
+    # rebuilt from sets give, loops, parallel edges and an initial
+    # matching included
+    rng = random.Random(65)
+    for _ in range(150):
+        g, f = random_instance(rng, 9, 16, 3)
+        init = random_valid_matching(rng, g, f)
+        matching, results = run_phases(g, f, init, check=False)
+        report = max_f_matching(g, f, init=init)
+        assert report.matching == matching
+        assert report.trail_counts == [len(r.trails) for r in results]
 
 
 # Blossoms nested thousands of levels deep: every blossom-tree walk must

@@ -1,12 +1,13 @@
 import hashlib
 import random
+from array import array
 
 import pytest
 
 from ftrails.driver import max_f_matching
-from ftrails.engine import ARTIFICIAL, find_trails
+from ftrails.engine import ARTIFICIAL, CheckFailure, find_trails
 from ftrails.expand import expand_all, rematch
-from ftrails.multigraph import Multigraph
+from ftrails.multigraph import Multigraph, match_state
 from helpers import deep_nesting_phases, random_instance, random_valid_matching, run_phases
 
 
@@ -196,6 +197,51 @@ def test_find_trails_rejection_messages(f, matching, message, order):
     with pytest.raises(ValueError) as info:
         find_trails(g, f, matching, order=order)
     assert str(info.value) == message
+
+
+def test_carried_state_checks():
+    # vertex 1 is saturated by edge 1; the tampered state calls it deficient
+    g = Multigraph(3, [(0, 1), (1, 2)])
+    f = [1, 1, 1]
+    state = match_state(g, f, {1})
+    tampered = state._replace(deficiency=array("i", [1, 1, 0]))
+    find_trails(g, f, state, check=True)
+    with pytest.raises(CheckFailure, match="carried deficiencies disagree with the matched flags"):
+        find_trails(g, f, tampered, check=True)
+    # without check mode only the shape is checked
+    find_trails(g, f, tampered)
+    flags_message = "matching state needs 2 flags, each 0 or 1"
+    deficiency_message = "matching state needs 3 deficiencies, none negative"
+    for bad, message in [
+        (state._replace(flags=b"\x00"), flags_message),
+        (state._replace(flags=b"\x00\x02"), flags_message),
+        (state._replace(deficiency=array("i", [1, 0])), deficiency_message),
+        (state._replace(deficiency=array("i", [1, -1, 0])), deficiency_message),
+    ]:
+        with pytest.raises(ValueError) as info:
+            find_trails(g, f, bad)
+        assert str(info.value) == message
+
+
+def test_find_trails_leaves_a_carried_state_unchanged():
+    # two runs on one state are the same run, and the state is unchanged
+    rng = random.Random(6)
+    for _ in range(100):
+        g, f = random_instance(rng, 7, 12, 3)
+        m = random_valid_matching(rng, g, f)
+        state = match_state(g, f, m)
+        flags, deficiency = bytes(state.flags), state.deficiency.tolist()
+        digests = []
+        for _run in range(2):
+            h = hashlib.sha256()
+            result = find_trails(g, f, state, check=True)
+            assert result.matched == flags
+            _phase_digest(h, result)
+            digests.append(h.hexdigest())
+        assert state.flags == flags and state.deficiency.tolist() == deficiency
+        h = hashlib.sha256()
+        _phase_digest(h, find_trails(g, f, m, check=True))
+        assert digests == [h.hexdigest()] * 2
 
 
 def test_find_trails_runs_on_int_order_entries():

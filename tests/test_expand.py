@@ -1,11 +1,12 @@
 import hashlib
 import random
+from itertools import compress
 
 import pytest
 
 from ftrails.engine import ARTIFICIAL, StructuralError, find_trails
 from ftrails.expand import GTrail, _Router, check_gtrail, expand_all, pi_trail, rematch
-from ftrails.multigraph import Multigraph, deficiency
+from ftrails.multigraph import Multigraph, match_state
 from helpers import (
     all_records,
     deep_nesting_phases,
@@ -130,7 +131,7 @@ def test_expand_identity_without_blossoms():
     result = find_trails(g, [1, 1, 1, 1], {1}, check=True)
     (trail,) = expand_all(result)
     assert trail.edges == (0, 1, 2)
-    assert check_gtrail(g, result.matching, trail) == []
+    assert check_gtrail(g, {1}, trail) == []
 
 
 def test_expand_through_blossom_matches_drawn_trail():
@@ -249,8 +250,11 @@ def test_rematch_closed_trail_drops_deficiency_by_two():
     result = find_trails(g, f, m, check=True)
     (trail,) = expand_all(result)
     assert trail.root_vertex == trail.terminal_vertex == 0
+    state = match_state(g, f, m)
+    after = rematch(g, f, state, [trail])
+    assert after.deficiency[0] == 0
     m2 = rematch(g, f, m, [trail])
-    assert deficiency(g, f, m2, 0) == 0
+    assert m2 == set(compress(range(g.m), after.flags))
     assert len(m2) == len(m) + 1
 
 
@@ -263,35 +267,47 @@ def test_rematch_two_disjoint_trails_additive():
 
 
 def test_rematch_conservation_of_deficiency():
+    # the state path agrees with the set path, and its deficiencies with
+    # the ones a set-up recomputes from the rematched set
     rng = random.Random(33)
     for _ in range(150):
         g, f = random_instance(rng, 7, 11, 3)
         m = random_valid_matching(rng, g, f)
         result = find_trails(g, f, m)
         trails = expand_all(result)
-        before = sum(deficiency(g, f, m, v) for v in range(g.n))
+        state = match_state(g, f, m)
+        after = rematch(g, f, state, trails)
+        assert sum(state.deficiency) - sum(after.deficiency) == 2 * len(trails)
         m2 = rematch(g, f, m, trails)
-        after = sum(deficiency(g, f, m2, v) for v in range(g.n))
-        assert before - after == 2 * len(trails)
         assert len(m2) == len(m) + len(trails)
+        assert m2 == set(compress(range(g.m), after.flags))
+        assert after.deficiency == match_state(g, f, m2).deficiency == result.def_final
         # trails are pairwise edge-disjoint
         used = [e for t in trails for e in t.edges]
         assert len(used) == len(set(used))
+
+
+def set_and_state(g, f, matching):
+    """The matching as a set and as a carried state: rematch treats both alike."""
+    return [set(matching), match_state(g, f, matching)]
 
 
 def test_rematch_rejects_overlapping_trails():
     g = Multigraph(2, [(0, 1)])
     result = find_trails(g, [1, 1], set())
     (trail,) = expand_all(result)
-    with pytest.raises(ValueError):
-        rematch(g, [1, 1], set(), [trail, trail])
+    for matching in set_and_state(g, [1, 1], set()):
+        with pytest.raises(ValueError, match="trails are not edge-disjoint: edge 0"):
+            rematch(g, [1, 1], matching, [trail, trail])
 
 
 def test_rematch_rejects_non_alternating():
     g = Multigraph(3, [(0, 1), (1, 2)])
     bogus = GTrail(root_vertex=0, terminal_vertex=2, edges=(0, 1), g=g)
-    with pytest.raises(ValueError):
-        rematch(g, [1, 1, 1], set(), [bogus])
+    message = "^invalid augmenting trail: no alternation entering edge 1$"
+    for matching in set_and_state(g, [1, 1, 1], set()):
+        with pytest.raises(ValueError, match=message):
+            rematch(g, [1, 1, 1], matching, [bogus])
 
 
 def test_rematch_rejects_trail_ending_at_saturated_vertex():
@@ -299,16 +315,29 @@ def test_rematch_rejects_trail_ending_at_saturated_vertex():
     # alternates, but flipping it pushes vertex 1 over its bound
     g = Multigraph(3, [(0, 1), (1, 2)])
     bogus = GTrail(root_vertex=0, terminal_vertex=1, edges=(0,), g=g)
-    with pytest.raises(ValueError, match=r"rematching violates degree bounds at \[1\]"):
-        rematch(g, [1, 1, 1], {1}, [bogus])
+    for matching in set_and_state(g, [1, 1, 1], {1}):
+        with pytest.raises(ValueError, match=r"rematching violates degree bounds at \[1\]"):
+            rematch(g, [1, 1, 1], matching, [bogus])
 
 
 @pytest.mark.parametrize("e", [-1, 2])
 def test_rematch_rejects_unknown_edge_id(e):
     g = Multigraph(2, [(0, 1), (0, 1)])
     bogus = GTrail(root_vertex=0, terminal_vertex=1, edges=(e,), g=g)
-    with pytest.raises(ValueError, match=f"unknown edge id {e}"):
-        rematch(g, [2, 2], set(), [bogus])
+    for matching in set_and_state(g, [2, 2], set()):
+        with pytest.raises(ValueError, match=f"unknown edge id {e}"):
+            rematch(g, [2, 2], matching, [bogus])
+
+
+def test_rematch_leaves_its_input_state_unchanged():
+    rng = random.Random(34)
+    for _ in range(50):
+        g, f = random_instance(rng, 7, 11, 3)
+        state = match_state(g, f, random_valid_matching(rng, g, f))
+        flags, deficiency = bytes(state.flags), state.deficiency.tolist()
+        after = rematch(g, f, state, expand_all(find_trails(g, f, state)))
+        assert state.flags == flags and state.deficiency.tolist() == deficiency
+        assert after.deficiency is not state.deficiency
 
 
 def test_expansion_pinned_on_deep_nesting():
