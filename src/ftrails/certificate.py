@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Container
 from dataclasses import dataclass
 from itertools import compress
-from operator import and_, or_, xor
+from operator import add
 from typing import NamedTuple, Optional
 
 from .engine import _FLIP, BlockingResult
@@ -37,6 +37,7 @@ _KIND: tuple[Optional[str], ...] = (IN_COMPLETE_BLOSSOM, None, None, ORPHAN)
 _IS_INNER = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x01\x00\x00")
 _IS_OUTER = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x00\x01\x00")
 _IS_UNLABELED = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x00\x00\x01")
+_HALF = (2).__rfloordiv__  # x // 2
 
 
 @dataclass
@@ -79,11 +80,6 @@ class CertificateReport:
     failures: list[str]
 
 
-def _bytewise(op, a: bytes, b: bytes) -> bytes:
-    """op applied bytewise to two 0/1 flag arrays of equal length."""
-    return op(int.from_bytes(a, "big"), int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
 def _walk_complete(result: BlockingResult) -> tuple[bytearray, bytearray, set[tuple[int, int]]]:
     """One walk over the maximal complete blossoms: flags of the vertices
     they hold and of the edges inside them, and their (base vertex, base
@@ -119,7 +115,10 @@ def _residual(
     result: BlockingResult, inside: bytearray
 ) -> tuple[bytes, bytes, bytes, list[int]]:
     """Flags of the residual edges, of the residual matching and of the
-    matching the run started from, and f'."""
+    matching the run started from, and f'.
+
+    The flag arrays are combined bytewise as big integers, each converted
+    once."""
     g = result.g
     m = g.m
     trail = bytearray(m)
@@ -127,8 +126,11 @@ def _residual(
         for e in t.edges:
             trail[e] = 1
     before = result.matched
-    residual = _bytewise(or_, trail.translate(_FLIP), inside)
-    matched = _bytewise(and_, _bytewise(xor, before, trail), residual)
+    as_int = int.from_bytes
+    residual_i = as_int(trail.translate(_FLIP), "big") | as_int(inside, "big")
+    matched_i = (as_int(before, "big") ^ as_int(trail, "big")) & residual_i
+    residual = residual_i.to_bytes(m, "big")
+    matched = matched_i.to_bytes(m, "big")
     f_prime = list(result.def_final)
     for u, v in map(g.edges.__getitem__, compress(range(m), matched)):
         f_prime[u] += 1
@@ -139,6 +141,7 @@ def _residual(
 class _OddSet(NamedTuple):
     """The odd-set expression's pieces over a set of edges, per labelling."""
 
+    bound: int  # the odd-set expression's value
     f_inner: int  # f summed over I
     gamma_o: int  # edges with both ends in O
     components: list[list[int]]  # of the unlabelled vertices, sorted
@@ -153,12 +156,6 @@ class _OddSet(NamedTuple):
     # does not enter by its base edge
     orphan_mistyped: list[int]
     orphan_off_base: list[int]
-
-    @property
-    def bound(self) -> int:
-        return self.f_inner + self.gamma_o + sum(
-            (fc + cross) // 2 for fc, cross in zip(self.comp_f, self.comp_cross)
-        )
 
 
 def _odd_set(
@@ -245,8 +242,9 @@ def _odd_set(
             comp_cross[cid] += cross[s]
             comp_matched[cid] += hits[s]
     f_inner = sum(compress(f, code.translate(_IS_INNER)))
+    bound = f_inner + gamma_o + sum(map(_HALF, map(add, comp_f, comp_cross)))
     return _OddSet(
-        f_inner, gamma_o, components, comp_f, comp_cross, comp_matched,
+        bound, f_inner, gamma_o, components, comp_f, comp_cross, comp_matched,
         matched_inner, inner_pairs, open_outer, orphan_mistyped, orphan_off_base,
     )
 
@@ -322,13 +320,14 @@ def verify(result: BlockingResult) -> CertificateReport:
     )
 
     def_final = result.def_final
-    failures = [
-        f"inner vertex {v} is deficient"
-        for v in compress(range(g.n), code.translate(_IS_INNER))
-        if def_final[v] != 0
-    ]
-    failures += [f"matched residual edge {e} joins two inner vertices" for e in odd.inner_pairs]
-    failures += [f"unmatched residual edge {e} joins two outer vertices" for e in odd.open_outer]
+    failures = []
+    for v in compress(range(g.n), code.translate(_IS_INNER)):
+        if def_final[v] != 0:
+            failures.append(f"inner vertex {v} is deficient")
+    for e in odd.inner_pairs:
+        failures.append(f"matched residual edge {e} joins two inner vertices")
+    for e in odd.open_outer:
+        failures.append(f"unmatched residual edge {e} joins two outer vertices")
     if odd.matched_inner != odd.f_inner:
         failures.append(
             f"inner vertices carry {odd.matched_inner} matched residual edges, "
@@ -356,17 +355,11 @@ def verify(result: BlockingResult) -> CertificateReport:
         u, v = ends[e]
         y = u if code[v] == _ORPHAN else v
         failures.append(f"orphan edge {e} disagrees with e1's M-type at vertex {y}")
-    failures += [
-        f"orphan edge {e} enters a complete blossom off its base edge" for e in odd.orphan_off_base
-    ]
+    for e in odd.orphan_off_base:
+        failures.append(f"orphan edge {e} enters a complete blossom off its base edge")
 
     return CertificateReport(
-        ok=not failures,
-        bound=bound,
-        residual_size=residual_size,
-        labeling=Labeling(code),
-        components=odd.components,
-        failures=failures,
+        not failures, bound, residual_size, Labeling(code), odd.components, failures
     )
 
 

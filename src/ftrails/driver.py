@@ -40,12 +40,12 @@ def run_phase(
     """One blocking phase: find the trails, expand them and rematch.
 
     Returns the contracted run (for verify), the expanded trails and the
-    rematched state, a new one even when no trail was found; state itself
+    rematched state, which is state itself when no trail was found; state
     is left as it was.
     """
     result = find_trails(g, f, state, check=check, trace=trace)
     trails = expand_all(result)
-    return result, trails, rematch(g, f, state, trails)
+    return result, trails, rematch(g, f, state, trails) if trails else state
 
 
 def max_f_matching(

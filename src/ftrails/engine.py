@@ -13,13 +13,14 @@ exactly one parent arc, and every arc has exactly one head node, so nodes
 and arcs share ids.  Arc a's head node is a; its tail node is another arc
 id (or -1 for a root).
 
-The search itself is one loop over one explicit stack of invocations
-(_Run._search): recursion depth can reach the edge count.  An invocation
-started by a grow and one left pending by a blossom step are the same kind
-of frame, so the augment test is made in one place; blossom paths and
-trails come from one walk down the contracted forest (_Run._path_down).
-The hot path stays free of attribute lookups and string formatting unless
-tracing is on.
+A phase is one loop (_Run.run): it binds the hot arrays to locals once and
+runs every search of the phase over one explicit stack of invocations
+(recursion depth can reach the edge count).  An invocation started by a
+grow and one left pending by a blossom step are the same kind of frame, so
+the augment test is made in one place; blossom paths and trails come from
+one walk down the contracted forest (_Run._path_down), which reads the
+union-find parents and the records directly.  The hot path stays free of
+attribute lookups and string formatting unless tracing is on.
 
 A grow step scans its vertex's segment of the graph's g.inc_flat, skipping
 edges of the other M-type, and reads the far end of the edge it grows as
@@ -32,6 +33,15 @@ messages; a carried state, which a solve's phases take from rematch, is
 copied in C after shape checks.  Without an explicit order only the
 vertices deficient at set-up root searches, in ascending order: a
 deficiency never rises during a run.
+
+Check mode (check=True) adds nothing per arc.  It recomputes a carried
+state's deficiencies once per phase.  Each blossom step checks its new
+segment only, in time linear in the segment plus its finds: a per-vertex
+owner node answers "one blossom per vertex", and the enlarge test is
+confirmed by node-id order, as the search itself reads it.  Late arrivals
+at a vertex (arcs grown after its e1 returned) are checked in one pass at
+the end of the run, from the arc count at which each e1 returned, so such
+a failure is raised when the run halts rather than at the arc.
 """
 
 from __future__ import annotations
@@ -39,10 +49,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from operator import index, sub
-from typing import Callable, NamedTuple, Optional, Sequence
+from operator import index
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .multigraph import MatchState, Multigraph, checked_degrees, match_state
+from .multigraph import MatchState, Multigraph, check_inputs, deficiencies, match_state
 
 ARTIFICIAL = -1
 
@@ -128,11 +138,10 @@ class Forest:
     __slots__ = ("edge", "matched", "tail", "vertex")
 
     def __init__(self, cap: int = 0) -> None:
-        zeros = bytes(4 * cap)
-        self.edge = array("i", zeros)
+        self.edge = array("i", bytes(4 * cap))
         self.matched = bytearray(cap)
-        self.tail = array("i", zeros)
-        self.vertex = array("i", zeros)
+        self.tail = self.edge[:]
+        self.vertex = self.edge[:]
 
     def trim(self, count: int) -> None:
         del self.edge[count:]
@@ -141,12 +150,19 @@ class Forest:
         del self.vertex[count:]
 
 
+_ONE = array("i", [1])
+
+
 class BlossomStore:
-    """Union-find over forest nodes plus the per-blossom records."""
+    """Union-find over forest nodes plus the per-blossom records.
+
+    A component of more than one node is a blossom, and root_record holds
+    its record under its union-find root.
+    """
 
     def __init__(self, cap: int = 0) -> None:
         self.parent = array("i", bytes(4 * cap))  # set when each arc is made
-        self.size = array("i", [1]) * cap
+        self.size = _ONE * cap
         self.root_record: dict[int, BlossomRecord] = {}
         self.base_record: dict[int, BlossomRecord] = {}
 
@@ -162,23 +178,6 @@ class BlossomStore:
         while parent[x] != root:
             parent[x], x = root, parent[x]
         return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
-
-    def record_of_node(self, node: int) -> Optional[BlossomRecord]:
-        return self.root_record.get(self.find(node))
-
-    def base_of_component(self, root: int) -> int:
-        rec = self.root_record.get(root)
-        return rec.base_node if rec is not None else root
 
     def maximal_complete(self) -> list[BlossomRecord]:
         """The maximal complete blossoms at halt.
@@ -223,12 +222,12 @@ def _check_carried(g: Multigraph, f: list[int], state: MatchState, check: bool) 
     if len(deficiency) != g.n or (g.n and min(deficiency) < 0):
         raise ValueError(f"matching state needs {g.n} deficiencies, none negative")
     if check:
-        deg = checked_degrees(g, f, list(compress(range(g.m), flags)))
-        if list(map(sub, f, deg)) != list(deficiency):
+        check_inputs(g, f, ())
+        if deficiencies(g, f, compress(range(g.m), flags)).tolist() != list(deficiency):
             raise CheckFailure("carried deficiencies disagree with the matched flags")
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockingResult:
     """Everything a find_trails run produced, kept contracted."""
 
@@ -275,58 +274,44 @@ class _Run:
         self.cur_unmatched = g.inc_off[:n]
         self.cur_matched = g.inc_off[:n] if 1 in state.flags else g.inc_off[1:]
 
+        # arcs: each edge grows at most once, plus one artificial root per
+        # search; searches are bounded by one unsuccessful per vertex plus
+        # one successful per (edge-disjoint) trail.  Every array below is a
+        # copy of the forest's zeros or of one array of -1s.
+        cap = 2 * g.m + n + 1
+        self.forest = Forest(cap)
+        zeros = self.forest.edge
+        minus1 = array("i", b"\xff" * (4 * cap))
+
         # per-vertex FIFO lists of returned invocations awaiting blossom
         # steps (the first pop must return the first entry), flattened into
         # one entry arena with per-vertex first/last links
-        minus1 = b"\xff" * (4 * n)
-        zeros_n = bytes(4 * n)
-        self.bl_first = array("i", minus1)
-        self.bl_last = array("i", minus1)
-        self.bl_cnt_m = array("i", zeros_n)
-        self.bl_cnt_u = array("i", zeros_n)
-        self.e1_arc = array("i", minus1)
-        self.vertex_blossom = array("i", minus1)
+        self.bl_first = minus1[:n]
+        self.bl_last = minus1[:n]
+        self.bl_cnt_m = zeros[:n]
+        self.bl_cnt_u = zeros[:n]
+        self.bl_entry_node = zeros[:]
+        self.bl_entry_arc = zeros[:]
+        self.bl_entry_next = minus1  # -1 ends a list
+        self.e1_arc = minus1[:n]
+        self.vertex_blossom = minus1[:n]
         # one occurrence of each flagged vertex inside its unique blossom;
         # stays valid across enlargements since merged nodes keep their set
-        self.vertex_occurrence = array("i", minus1)
-
-        # arcs: each edge grows at most once, plus one artificial root per
-        # search; searches are bounded by one unsuccessful per vertex plus
-        # one successful per (edge-disjoint) trail
-        cap = 2 * g.m + n + 1
-        zeros_cap = bytes(4 * cap)
-        self.bl_entry_node = array("i", zeros_cap)
-        self.bl_entry_arc = array("i", zeros_cap)
-        self.bl_entry_next = array("i", b"\xff" * (4 * cap))  # -1 ends a list
-        self.n_bl = 0
-        self.forest = Forest(cap)
+        self.vertex_occurrence = minus1[:n]
         self.store = BlossomStore(cap)
         self.n_arcs = 0
         self.trails: list[Trail] = []
         self.search_id = -1
 
-        # check-mode bookkeeping
+        # check-mode bookkeeping, none of it on the per-arc path: the arc
+        # count when each vertex's e1 returned, cap until it does (for
+        # check_final), and one node of each vertex's blossom (for
+        # _check_blossom)
         if check:
-            self.child_count = [0] * cap
-            self.after_e1_arcs: list[int] = []
+            self.e1_at = array("i", [cap]) * n
+            self.owner = minus1[:n]
 
-    # -- helpers ---------------------------------------------------------
-
-    def _on_new_arc(self, aid: int) -> None:
-        self.n_arcs = aid + 1
-        forest = self.forest
-        tail = forest.tail[aid]
-        if tail >= 0:
-            self.child_count[tail] += 1
-        vertex = forest.vertex[aid]
-        if forest.edge[aid] != ARTIFICIAL and self.e1_arc[vertex] >= 0:
-            e1 = self.e1_arc[vertex]
-            if forest.matched[e1] != forest.matched[aid]:
-                self._fail(
-                    f"arc {aid} at vertex {vertex} arrived after e1 returned "
-                    f"with the wrong M-type"
-                )
-            self.after_e1_arcs.append(aid)
+    # -- diagnostics -------------------------------------------------------
 
     def _fail(self, msg: str) -> None:
         raise CheckFailure(msg + "\n" + self._dump())
@@ -350,15 +335,12 @@ class _Run:
 
     # -- the search ------------------------------------------------------
 
-    def run(self, order: Sequence[int]) -> None:
-        for alpha in order:
-            while self.deficiency[alpha] > 0 and self.e1_arc[alpha] < 0:
-                self.search_id += 1
-                if not self._search(alpha):
-                    break
+    def run(self, order: Iterable[int]) -> None:
+        """Every search of the phase: alpha roots searches while it stays
+        deficient and none of its invocations has returned.
 
-    def _search(self, alpha: int) -> bool:
-        """Run one search from alpha; True iff an augmenting trail was found."""
+        The hot arrays are bound to locals once per phase.
+        """
         forest = self.forest
         store = self.store
         fedge = forest.edge
@@ -367,6 +349,8 @@ class _Run:
         fvertex = forest.vertex
         par = store.parent
         sz = store.size
+        find = store.find
+        root_record = store.root_record
         base_record = store.base_record
         deficiency = self.deficiency
         exor = self.g.exor
@@ -383,26 +367,15 @@ class _Run:
         bl_last = self.bl_last
         bl_cnt_m = self.bl_cnt_m
         bl_cnt_u = self.bl_cnt_u
-        n_bl = self.n_bl
         vertex_blossom = self.vertex_blossom
+        vertex_occurrence = self.vertex_occurrence
         e1_arc = self.e1_arc
-        sid = self.search_id
+        trails = self.trails
         trace = self.trace
         check = self.check
-
-        root = self.n_arcs
-        self.n_arcs = root + 1
-        fedge[root] = ARTIFICIAL
-        fmatched[root] = 1
-        ftail[root] = -1
-        fvertex[root] = alpha
-        par[root] = root
-        if check:
-            self._on_new_arc(root)
-        n_arcs = self.n_arcs
-        if trace is not None:
-            trace(f"search {sid} root {alpha} node {root}")
-
+        e1_at = self.e1_at if check else None
+        n_arcs = n_bl = 0
+        sid = -1
         # One stack of invocations.  A frame is (node, arc, x, amu, state),
         # with x the vertex of node and amu the M-type of arc.  Every
         # invocation starts in START, which holds the augment test, and then
@@ -410,187 +383,220 @@ class _Run:
         # step pushes it as BLOSSOM under the invocations that the step
         # leaves pending, the first of them on top.
         frames: list = []
-        node = root
-        arc = root
-        x = alpha
-        amu = 1
-        state = START
 
-        while True:
-            if state != BLOSSOM:
-                # the augment test: an unmatched arc to a deficient vertex,
-                # deficient twice over if it closes a trail at the root
-                if state == START and not amu and deficiency[x] > (x == alpha):
-                    deficiency[alpha] -= 1
-                    deficiency[x] -= 1
-                    self.n_arcs = n_arcs
-                    self.n_bl = n_bl
-                    self.trails.append(self._make_trail(alpha, root, x, node, arc))
-                    if trace is not None:
-                        trace(f"augment at {x} node {node} arc {arc}")
-                    return True
-                if amu:
-                    closed = closed_u
-                    cur = curu
-                else:
-                    closed = closed_m
-                    cur = curm
-                i = cur[x]
-                hi = inc_end[x]
-                e = -1
-                while i < hi:
-                    c = inc[i]
-                    i += 1
-                    if not closed[c]:
-                        e = c
-                        break
-                cur[x] = i
-                if e >= 0:
-                    closed[e] = 1
-                    want = 1 - amu
-                    y = x ^ exor[e]
-                    child = n_arcs
-                    n_arcs += 1
-                    fedge[child] = e
-                    fmatched[child] = want
-                    ftail[child] = node
-                    fvertex[child] = y
-                    par[child] = child
-                    if check:
-                        self._on_new_arc(child)
-                    if trace is not None:
-                        trace(f"grow {x}->{y} edge {e} arc {child}")
-                    frames.append((node, arc, x, amu, GROW))
-                    node = child
-                    arc = child
-                    x = y
-                    amu = want
-                    state = START
-                    continue
-                state = BLOSSOM
-
-            # state == BLOSSOM
-            flag = vertex_blossom[x]
-            popped_node = -1
-            if flag < 0:
-                # blossom base test: x occurs in no blossom
-                if (bl_cnt_u[x] if amu else bl_cnt_m[x]) > 0:
-                    h = bl_first[x]
-                    bl_first[x] = bl_entry_next[h]
-                    if bl_entry_next[h] < 0:
-                        bl_last[x] = -1
-                    popped_node = bl_entry_node[h]
-                    popped_arc = bl_entry_arc[h]
-                    if fmatched[popped_arc]:
-                        bl_cnt_m[x] -= 1
-                    else:
-                        bl_cnt_u[x] -= 1
-                    if fmatched[popped_arc] == amu:
-                        raise StructuralError(
-                            "first BL entry has the wrong M-type in a base test"
-                        )
-            elif flag == sid and (
-                par[node] != node
-                or sz[node] > 1
-                or node < store.base_of_component(store.find(self.vertex_occurrence[x]))
-            ):
-                # blossom enlarge test: the node itself, or a descendant
-                # occurrence of x, is in a blossom of this search.  While a
-                # scan is active every node with a larger id sits inside its
-                # call subtree, so an occurrence outside the blossom is an
-                # ancestor of the blossom's base exactly when its id is
-                # smaller.
-                h = bl_first[x]
-                if h >= 0:
-                    bl_first[x] = bl_entry_next[h]
-                    if bl_entry_next[h] < 0:
-                        bl_last[x] = -1
-                    popped_node = bl_entry_node[h]
-                    popped_arc = bl_entry_arc[h]
-                    if fmatched[popped_arc]:
-                        bl_cnt_m[x] -= 1
-                    else:
-                        bl_cnt_u[x] -= 1
-                    if check:
-                        self._check_enlarge_applies(node, x)
-            # else: x has blossom occurrences that do not descend from here
-            # (or only in an earlier search); this scan pops nothing.
-
-            if popped_node >= 0:
+        for alpha in order:
+            # an unsuccessful search ends with the root's return, which sets
+            # e1(alpha) if nothing had
+            while deficiency[alpha] > 0 and e1_arc[alpha] < 0:
+                sid += 1
+                root = n_arcs
+                n_arcs += 1
+                fedge[root] = ARTIFICIAL
+                fmatched[root] = 1
+                ftail[root] = -1
+                fvertex[root] = alpha
+                par[root] = root
                 if trace is not None:
-                    trace(f"pop at {x} entry node {popped_node} arc {popped_arc}")
-                if check and popped_arc < root:  # arcs are numbered in creation order
-                    self._fail(f"popped BL entry {popped_arc} from an earlier search")
-                rn = store.find(node)
-                rm = store.find(popped_node)
-                if rn == rm:
-                    if trace is not None:
-                        trace("blossom noop")
-                    continue
-                frames.append((node, arc, x, amu, BLOSSOM))
-                frames += self._blossom_step(node, rn, rm)
-                node, arc, x, amu, state = frames.pop()
-                continue
+                    trace(f"search {sid} root {alpha} node {root}")
+                node = arc = root
+                x = alpha
+                amu = 1
+                state = START
 
-            # nothing to pop: the invocation returns
-            idx = n_bl
-            n_bl += 1
-            bl_entry_node[idx] = node
-            bl_entry_arc[idx] = arc
-            t = bl_last[x]
-            if t >= 0:
-                bl_entry_next[t] = idx
-            else:
-                bl_first[x] = idx
-            bl_last[x] = idx
-            if amu:  # amu is the M-type of arc
-                bl_cnt_m[x] += 1
-            else:
-                bl_cnt_u[x] += 1
-            if e1_arc[x] < 0:
-                e1_arc[x] = arc
-            if arc == node and flag == sid:
-                # head-flavor return: may complete a blossom based here;
-                # the blossom step that made it flagged x with this search
-                rec = base_record.get(node)
-                if rec is not None:
-                    rec.complete = True
+                while True:
+                    if state != BLOSSOM:
+                        # the augment test: an unmatched arc to a deficient
+                        # vertex, deficient twice over if it closes a trail at
+                        # the root
+                        if state == START and not amu and deficiency[x] > (x == alpha):
+                            deficiency[alpha] -= 1
+                            deficiency[x] -= 1
+                            self.n_arcs = n_arcs
+                            trails.append(self._make_trail(alpha, root, x, node, arc))
+                            if trace is not None:
+                                trace(f"augment at {x} node {node} arc {arc}")
+                            frames.clear()
+                            break
+                        if amu:
+                            closed = closed_u
+                            cur = curu
+                        else:
+                            closed = closed_m
+                            cur = curm
+                        i = cur[x]
+                        hi = inc_end[x]
+                        e = -1
+                        while i < hi:
+                            c = inc[i]
+                            i += 1
+                            if not closed[c]:
+                                e = c
+                                break
+                        cur[x] = i
+                        if e >= 0:
+                            closed[e] = 1
+                            want = 1 - amu
+                            y = x ^ exor[e]
+                            child = n_arcs
+                            n_arcs += 1
+                            fedge[child] = e
+                            fmatched[child] = want
+                            ftail[child] = node
+                            fvertex[child] = y
+                            par[child] = child
+                            if trace is not None:
+                                trace(f"grow {x}->{y} edge {e} arc {child}")
+                            frames.append((node, arc, x, amu, GROW))
+                            node = child
+                            arc = child
+                            x = y
+                            amu = want
+                            state = START
+                            continue
+                        state = BLOSSOM
+
+                    # state == BLOSSOM
+                    flag = vertex_blossom[x]
+                    popped_node = -1
+                    if flag < 0:
+                        # blossom base test: x occurs in no blossom
+                        if (bl_cnt_u[x] if amu else bl_cnt_m[x]) > 0:
+                            h = bl_first[x]
+                            bl_first[x] = bl_entry_next[h]
+                            if bl_entry_next[h] < 0:
+                                bl_last[x] = -1
+                            popped_node = bl_entry_node[h]
+                            popped_arc = bl_entry_arc[h]
+                            if fmatched[popped_arc]:
+                                bl_cnt_m[x] -= 1
+                            else:
+                                bl_cnt_u[x] -= 1
+                            if fmatched[popped_arc] == amu:
+                                raise StructuralError(
+                                    "first BL entry has the wrong M-type in a base test"
+                                )
+                    elif flag == sid:
+                        # blossom enlarge test: the node itself, or a
+                        # descendant occurrence of x, is in a blossom of this
+                        # search.  While a scan is active every node with a
+                        # larger id sits inside its call subtree, so an
+                        # occurrence outside the blossom is an ancestor of the
+                        # blossom's base exactly when its id is smaller.
+                        enlarge = par[node] != node or sz[node] > 1
+                        if not enlarge:
+                            o = vertex_occurrence[x]
+                            r = o if par[o] == o else find(o)
+                            rec = root_record.get(r)
+                            enlarge = node < (r if rec is None else rec.base_node)
+                        if enlarge:
+                            h = bl_first[x]
+                            if h >= 0:
+                                bl_first[x] = bl_entry_next[h]
+                                if bl_entry_next[h] < 0:
+                                    bl_last[x] = -1
+                                popped_node = bl_entry_node[h]
+                                popped_arc = bl_entry_arc[h]
+                                if fmatched[popped_arc]:
+                                    bl_cnt_m[x] -= 1
+                                else:
+                                    bl_cnt_u[x] -= 1
+                                if check:
+                                    self.n_arcs = n_arcs
+                                    self._check_enlarge_applies(node, x)
+                    # else: x has blossom occurrences that do not descend from
+                    # here (or only in an earlier search); this scan pops
+                    # nothing.
+
+                    if popped_node >= 0:
+                        if trace is not None:
+                            trace(f"pop at {x} entry node {popped_node} arc {popped_arc}")
+                        if check and popped_arc < root:  # arcs are numbered in creation order
+                            self.n_arcs = n_arcs
+                            self._fail(f"popped BL entry {popped_arc} from an earlier search")
+                        rn = node if par[node] == node else find(node)
+                        rm = popped_node if par[popped_node] == popped_node else find(popped_node)
+                        if rn == rm:
+                            if trace is not None:
+                                trace("blossom noop")
+                            continue
+                        self.n_arcs = n_arcs
+                        frames.append((node, arc, x, amu, BLOSSOM))
+                        frames += self._blossom_step(node, rn, rm, sid)
+                        node, arc, x, amu, state = frames.pop()
+                        continue
+
+                    # nothing to pop: the invocation returns
+                    idx = n_bl
+                    n_bl += 1
+                    bl_entry_node[idx] = node
+                    bl_entry_arc[idx] = arc
+                    t = bl_last[x]
+                    if t >= 0:
+                        bl_entry_next[t] = idx
+                    else:
+                        bl_first[x] = idx
+                    bl_last[x] = idx
+                    if amu:  # amu is the M-type of arc
+                        bl_cnt_m[x] += 1
+                    else:
+                        bl_cnt_u[x] += 1
+                    if e1_arc[x] < 0:
+                        e1_arc[x] = arc
+                        if check:
+                            e1_at[x] = n_arcs
+                    if arc == node and flag == sid:
+                        # head-flavor return: may complete a blossom based
+                        # here; the blossom step that made it flagged x with
+                        # this search
+                        rec = base_record.get(node)
+                        if rec is not None:
+                            rec.complete = True
+                            if trace is not None:
+                                trace(f"complete blossom base {node}")
                     if trace is not None:
-                        trace(f"complete blossom base {node}")
-            if trace is not None:
-                trace(f"return node {node} arc {arc}")
-            if not frames:
-                self.n_arcs = n_arcs
-                self.n_bl = n_bl
-                return False
-            node, arc, x, amu, state = frames.pop()
+                        trace(f"return node {node} arc {arc}")
+                    if not frames:
+                        break
+                    node, arc, x, amu, state = frames.pop()
+
+        self.n_arcs = n_arcs
+        self.search_id = sid
 
     # -- steps -------------------------------------------------------------
 
-    def _path_down(self, top: int, bottom: int) -> list[int]:
-        """The base arcs of the components below top down to bottom, top first.
+    def _path_down(self, top: int, bottom: int) -> tuple[list[int], list[int]]:
+        """The base arcs of the components below top down to bottom, top
+        first, and the roots of those components.
 
         Walks contracted parents upward from bottom, which must descend
-        from top.
+        from top; find runs only where a tail is not a root itself.
         """
         tail = self.forest.tail
         store = self.store
+        par = store.parent
+        root_record = store.root_record
         arcs: list[int] = []
+        roots: list[int] = []
         cur = bottom
         while cur != top:
-            b = store.base_of_component(cur)
+            rec = root_record.get(cur)
+            b = cur if rec is None else rec.base_node
             arcs.append(b)
+            roots.append(cur)
             t = tail[b]
             if t < 0:
                 raise StructuralError(
                     f"component {bottom} does not descend from component {top}"
                     + (("\n" + self._dump()) if self.check else "")
                 )
-            cur = store.find(t)
+            cur = t if par[t] == t else store.find(t)
         arcs.reverse()
-        return arcs
+        roots.reverse()
+        return arcs, roots
 
-    def _blossom_step(self, node: int, rn: int, rm: int) -> list[tuple[int, int, int, int, int]]:
+    def _blossom_step(
+        self, node: int, rn: int, rm: int, sid: int
+    ) -> list[tuple[int, int, int, int, int]]:
         """Contract the path from component rn down to the popped component rm.
 
         Returns the START frames of the invocations the step leaves
@@ -598,72 +604,89 @@ class _Run:
         """
         forest = self.forest
         store = self.store
-        path = self._path_down(rn, rm)  # property (*): rm descends from rn
+        root_record = store.root_record
+        path, roots = self._path_down(rn, rm)  # property (*): rm descends from rn
 
-        rec = store.root_record.pop(rn, None)
-        children: list[Optional[BlossomRecord]] = []
-        for a in path:
-            child = store.root_record.pop(store.find(a), None)
-            children.append(child)
+        rec = root_record.pop(rn, None)
+        children = [root_record.pop(r, None) for r in roots]
         if rec is None:
-            rec = BlossomRecord(base_node=node, segments=[])
+            rec = BlossomRecord(node, [])
             store.base_record[node] = rec
-        seg = BlossomSegment(
-            arcs=path,
-            children=children,
-            start_node=forest.tail[path[0]],
-            closure_node=node,
-        )
+        tail, vertex = forest.tail, forest.vertex
+        seg = BlossomSegment(path, children, tail[path[0]], node)
         rec.segments.append(seg)
 
-        root = rn
+        # flag the new atoms with this search, and union the path's
+        # components (distinct roots, each merged once) into rn's by size
         vertex_blossom = self.vertex_blossom
         vertex_occurrence = self.vertex_occurrence
-        bv = forest.vertex[rec.base_node]
-        vertex_blossom[bv] = self.search_id
-        vertex_occurrence[bv] = rec.base_node
-        for a, child in zip(path, children):
+        par, sz = store.parent, store.size
+        base = rec.base_node
+        bv = vertex[base]
+        vertex_blossom[bv] = sid
+        vertex_occurrence[bv] = base
+        if self.check:
+            # before the unions merge it away: whether the final child holds
+            # the base vertex's owner, for the skew check
+            o = self.owner[bv]
+            owner_in_last = o >= 0 and store.find(o) == roots[-1]
+        root = rn
+        for a, child, r in zip(path, children, roots):
             if child is None:
-                v = forest.vertex[a]
-                vertex_blossom[v] = self.search_id
+                v = vertex[a]
+                vertex_blossom[v] = sid
                 vertex_occurrence[v] = a
-            root = store.union(root, a)
-        store.root_record[root] = rec
+            if sz[root] < sz[r]:
+                par[root] = r
+                sz[r] += sz[root]
+                root = r
+            else:
+                par[r] = root
+                sz[root] += sz[r]
+        root_record[root] = rec
 
         if self.trace is not None:
-            self.trace(f"blossom base {rec.base_node} path {path}")
+            self.trace(f"blossom base {base} path {path}")
         if self.check:
-            self._check_blossom(rec, seg)
+            self._check_blossom(rec, seg, root, owner_in_last)
 
-        tail, vertex, matched = forest.tail, forest.vertex, forest.matched
+        matched = forest.matched
         return [(tail[a], a, vertex[tail[a]], matched[a], START) for a in reversed(path[1:])]
 
     def _make_trail(self, alpha: int, root: int, x: int, node: int, arc: int) -> Trail:
-        find = self.store.find
-        return Trail(alpha, x, tuple(self._path_down(find(root), find(node))), node, arc)
+        par, find = self.store.parent, self.store.find
+        top = root if par[root] == root else find(root)
+        bottom = node if par[node] == node else find(node)
+        return Trail(alpha, x, tuple(self._path_down(top, bottom)[0]), node, arc)
 
     # -- check-mode invariants -------------------------------------------
 
     def _check_enlarge_applies(self, node: int, x: int) -> None:
-        if self.store.record_of_node(node) is not None:
-            return
-        # the skew case: some occurrence of x in a blossom must descend
-        # from the current node
-        forest = self.forest
+        """The enlarge test fired at node: node is in a blossom, or x has an
+        occurrence in a blossom below node.  Such a blossom's base has a
+        larger id than node, as the search itself reads it."""
         store = self.store
-        for a in range(self.n_arcs):
-            if forest.vertex[a] != x or store.record_of_node(a) is None:
-                continue
-            t = a
-            while t >= 0:
-                if t == node:
-                    return
-                t = forest.tail[t]
+        find = store.find
+        if find(node) in store.root_record:
+            return
+        o = self.vertex_occurrence[x]
+        rec = store.root_record.get(find(o)) if o >= 0 else None
+        if rec is not None and self.forest.vertex[o] == x and node < rec.base_node < self.n_arcs:
+            return
         self._fail(f"enlarge test fired at node {node} with no descendant of {x} in a blossom")
 
-    def _check_blossom(self, rec: BlossomRecord, seg: BlossomSegment) -> None:
+    def _check_blossom(
+        self, rec: BlossomRecord, seg: BlossomSegment, root: int, owner_in_last: bool
+    ) -> None:
+        """The new segment's invariants, in time linear in its length plus
+        the finds: the blossom invariants held before it was added.
+
+        root is the blossom's union-find root; owner_in_last tells whether
+        the last child held the base vertex's owner before the unions, so
+        it holds an occurrence of the base vertex."""
         forest = self.forest
-        base_vertex = forest.vertex[rec.base_node]
+        matched, vertex = forest.matched, forest.vertex
+        base_vertex = vertex[rec.base_node]
         arcs, children = seg.arcs, seg.children
 
         for i, child in enumerate(children):
@@ -673,55 +696,70 @@ class _Run:
                 if child.base_node != arcs[i]:
                     self._fail("path enters a contracted blossom off its base edge")
         for i in range(len(arcs) - 1):
-            if children[i] is None and forest.matched[arcs[i]] == forest.matched[arcs[i + 1]]:
+            if children[i] is None and matched[arcs[i]] == matched[arcs[i + 1]]:
                 self._fail("blossom path does not alternate at an atomic node")
 
         if len(rec.segments) == 1:
-            eta_matched = forest.matched[rec.base_node]
-            if forest.matched[arcs[0]] == eta_matched:
+            eta_matched = matched[rec.base_node]
+            if matched[arcs[0]] == eta_matched:
                 self._fail("blossom path starts with the base edge's M-type")
             last = children[-1]
             if last is None:
-                if forest.vertex[arcs[-1]] != base_vertex:
+                if vertex[arcs[-1]] != base_vertex:
                     self._fail("closed trail does not return to the base vertex")
-                if forest.matched[arcs[-1]] != forest.matched[arcs[0]]:
+                if matched[arcs[-1]] != matched[arcs[0]]:
                     self._fail("extreme edges of a base-case blossom differ in M-type")
-            else:
-                if all(forest.vertex[a] != base_vertex for a in last.iter_nodes()):
-                    self._fail("skew blossom's final sub-blossom misses the base vertex")
+            elif not owner_in_last:
+                self._fail("skew blossom's final sub-blossom misses the base vertex")
         else:
             if children[-1] is not None:
                 self._fail("enlargement path ends in a contracted blossom")
-            if forest.vertex[arcs[-1]] != forest.vertex[seg.closure_node]:
+            if vertex[arcs[-1]] != vertex[seg.closure_node]:
                 self._fail("enlargement does not close at the popping node's vertex")
 
-        self._check_one_blossom_per_vertex()
-        self._check_subtree(rec)
-
-    def _check_one_blossom_per_vertex(self) -> None:
-        seen: dict[int, int] = {}
-        for root, rec in self.store.root_record.items():
-            for nd in rec.iter_nodes():
-                v = self.forest.vertex[nd]
-                if seen.setdefault(v, root) != root:
-                    self._fail(f"vertex {v} occurs in two blossoms")
-
-    def _check_subtree(self, rec: BlossomRecord) -> None:
-        nodes = set(rec.iter_nodes())
-        for nd in nodes:
-            if nd == rec.base_node:
-                continue
-            t = self.forest.tail[nd]
-            if t < 0 or t not in nodes:
-                self._fail(f"blossom node {nd} detaches from the base subtree")
+        # one blossom per vertex: each vertex's owner is a node of the one
+        # blossom holding it; the base and the new atoms must find no owner
+        # outside this blossom
+        par, find = self.store.parent, self.store.find
+        owner = self.owner
+        new_nodes = [rec.base_node]
+        new_nodes += [a for a, child in zip(arcs, children) if child is None]
+        for nd in new_nodes:
+            v = vertex[nd]
+            o = owner[v]
+            if o >= 0 and par[o] != root and find(o) != root:
+                self._fail(f"vertex {v} occurs in two blossoms")
+            owner[v] = nd
+        # subtree: each new arc hangs from a node of this blossom
+        tail = forest.tail
+        for a in arcs:
+            t = tail[a]
+            if t < 0 or par[t] != root and find(t) != root:
+                self._fail(f"blossom node {a} detaches from the base subtree")
 
     def check_final(self) -> None:
-        """Invariants that are only meaningful once the run has halted."""
-        if not self.check:
-            return
-        for a in self.after_e1_arcs:
-            if self.child_count[a] != 0:
-                self._fail(f"arc {a} grown after e1 returned is not pendant")
+        """Invariants that are only meaningful once the run has halted: an
+        arc that arrived at a vertex after its e1 returned (at an arc count
+        of e1_at or more) has e1's M-type and is pendant.  No search root
+        is such an arc: a vertex roots searches only until its e1 returns."""
+        fo = self.forest
+        matched, vertex = fo.matched, fo.vertex
+        e1_arc, e1_at = self.e1_arc, self.e1_at
+        n_arcs = self.n_arcs
+        # arcs made before the first return are never late
+        late = [a for a in range(min(e1_at, default=n_arcs), n_arcs) if e1_at[vertex[a]] <= a]
+        for a in late:
+            v = vertex[a]
+            if matched[e1_arc[v]] != matched[a]:
+                self._fail(
+                    f"arc {a} at vertex {v} arrived after e1 returned "
+                    f"with the wrong M-type"
+                )
+        if late:
+            tails = set(fo.tail[:n_arcs])
+            for a in late:
+                if a in tails:
+                    self._fail(f"arc {a} grown after e1 returned is not pendant")
 
 
 def find_trails(
@@ -783,16 +821,13 @@ def find_trails(
                 raise ValueError(f"order contains unknown vertex id {v}")
         order = ids
     run.run(order)
-    run.check_final()
-    run.forest.trim(run.n_arcs)
-    run.store.trim(run.n_arcs)
+    if check:
+        run.check_final()
+    n_arcs = run.n_arcs
+    forest = run.forest
+    forest.trim(n_arcs)
+    store = run.store
+    store.trim(n_arcs)
     return BlockingResult(
-        g=g,
-        matched=state.flags,
-        trails=run.trails,
-        forest=run.forest,
-        blossoms=run.store,
-        e1_arc=run.e1_arc,
-        def_final=run.deficiency,
-        searches=run.search_id + 1,
+        g, state.flags, run.trails, forest, store, run.e1_arc, run.deficiency, run.search_id + 1
     )

@@ -278,24 +278,31 @@ def pi_trail(
 
 
 def expand_trail(result: BlockingResult, trail: Trail, router: _Router) -> GTrail:
-    """Expand a contracted trail into an alternating trail of graph edges."""
+    """Expand a contracted trail into an alternating trail of graph edges.
+
+    Reads the union-find parents and the root records directly: find runs
+    only for a tail that is not a root itself.
+    """
     forest = result.forest
+    tail, edge, matched = forest.tail, forest.edge, forest.matched
     store = result.blossoms
+    par, find, root_record = store.parent, store.find, store.root_record
 
     edges: list[int] = []
     for a in trail.arcs:
-        t = forest.tail[a]
-        rec = store.root_record.get(store.find(t))
+        t = tail[a]
+        rec = root_record.get(t if par[t] == t else find(t))
         if rec is not None:
-            edges += router.route(rec, t, not forest.matched[a], reverse=True)
-        edges.append(forest.edge[a])
+            edges += router.route(rec, t, not matched[a], reverse=True)
+        edges.append(edge[a])
 
-    if forest.matched[trail.final_arc]:
+    final = trail.final_node
+    if matched[trail.final_arc]:
         raise StructuralError("trail terminates on a matched arc")
-    rec = store.root_record.get(store.find(trail.final_node))
+    rec = root_record.get(final if par[final] == final else find(final))
     if rec is not None:
-        edges += router.route(rec, trail.final_node, False, reverse=True)
-    elif trail.final_node != (trail.arcs[-1] if trail.arcs else -1):
+        edges += router.route(rec, final, False, reverse=True)
+    elif final != (trail.arcs[-1] if trail.arcs else -1):
         raise StructuralError("atomic trail terminal is not the last trail arc")
 
     # the root crossing (first component) was handled by the first arc's
@@ -371,6 +378,7 @@ def rematch(
     flags = bytearray(before)
     deficiency = array("i", state.deficiency)
     grown = 0
+    ends: list[int] = []  # trail ends that went below zero
     for t in trails:
         problems = _trail_problems(g, is_matched, t)
         if problems:
@@ -383,11 +391,13 @@ def rematch(
             flags[e] ^= 1
             grown += 1 - 2 * before[e]
         # alternation keeps every interior degree; only the trail ends gain
-        deficiency[t.root_vertex] -= 1
-        deficiency[t.terminal_vertex] -= 1
-    ends = {v for t in trails for v in (t.root_vertex, t.terminal_vertex)}
-    bad = sorted(v for v in ends if deficiency[v] < 0)
-    if bad:
+        r, s = t.root_vertex, t.terminal_vertex
+        deficiency[r] -= 1
+        deficiency[s] -= 1
+        if deficiency[r] < 0 or deficiency[s] < 0:
+            ends += (r, s)
+    if ends:
+        bad = sorted({v for v in ends if deficiency[v] < 0})
         raise ValueError(f"rematching violates degree bounds at {bad}")
     if grown != len(trails):
         raise ValueError("rematching did not grow the matching by one per trail")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate, compress, starmap
-from operator import gt, sub, xor
+from operator import gt, xor
 from typing import NamedTuple
 
 
@@ -20,7 +20,7 @@ class Multigraph:
     Immutable after construction; safe to share read-only across threads.
     """
 
-    __slots__ = ("n", "edges", "exor", "inc_flat", "inc_off")
+    __slots__ = ("n", "m", "edges", "exor", "inc_flat", "inc_off")
 
     def __init__(self, n: int, edges: list[tuple[int, int]]) -> None:
         if n < 0:
@@ -28,6 +28,7 @@ class Multigraph:
 
         self.n = n
         self.edges: list[tuple[int, int]] = list(edges)
+        self.m = len(self.edges)
 
         # inc_flat[inc_off[v]:inc_off[v + 1]] lists the edge ids incident to
         # v, in edge-id order; a loop appears once in its vertex's segment.
@@ -54,10 +55,6 @@ class Multigraph:
                 slot[v] += 1
         self.inc_flat = flat
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
     def other_end(self, e: int, v: int) -> int:
         """The endpoint of edge e opposite v (v itself for a loop)."""
         a, b = self.edges[e]
@@ -78,10 +75,9 @@ class MatchState(NamedTuple):
     deficiency: array
 
 
-def checked_degrees(g: Multigraph, f: list[int], matching: set[int]) -> list[int]:
+def check_inputs(g: Multigraph, f: list[int], matching) -> None:
     """Validate a per-vertex degree bound vector and a matching's edge ids
-    against g, raising ValueError; then the degree of each vertex in the
-    matching, a loop counting twice."""
+    against g, raising ValueError."""
     if len(f) != g.n:
         raise ValueError(f"degree bound vector has length {len(f)}, expected {g.n}")
     if f and min(f) < 0:
@@ -91,11 +87,16 @@ def checked_degrees(g: Multigraph, f: list[int], matching: set[int]) -> list[int
     if matching and (min(matching) < 0 or max(matching) >= m):
         e = next(e for e in matching if not 0 <= e < m)
         raise ValueError(f"matching contains unknown edge id {e}")
-    deg = [0] * g.n
+
+
+def deficiencies(g: Multigraph, f: list[int], matching) -> array:
+    """f minus each vertex's degree in the matching (edge ids known to be
+    valid), a loop counting twice, in one pass."""
+    deficiency = array("i", f)
     for u, v in map(g.edges.__getitem__, matching):
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+        deficiency[u] -= 1
+        deficiency[v] -= 1
+    return deficiency
 
 
 def match_state(g: Multigraph, f: list[int], matching: set[int]) -> MatchState:
@@ -104,7 +105,8 @@ def match_state(g: Multigraph, f: list[int], matching: set[int]) -> MatchState:
     Makes validate_matching's checks, in its order and with its messages,
     and raises ValueError where it would report a fault.
     """
-    deficiency = array("i", map(sub, f, checked_degrees(g, f, matching)))
+    check_inputs(g, f, matching)
+    deficiency = deficiencies(g, f, matching)
     if g.n and min(deficiency) < 0:
         bad = [v for v in range(g.n) if deficiency[v] < 0]
         raise ValueError(f"matching violates degree bounds at vertices {bad}")
@@ -117,7 +119,12 @@ def match_state(g: Multigraph, f: list[int], matching: set[int]) -> MatchState:
 def validate_matching(g: Multigraph, f: list[int], matching: set[int]) -> list[int]:
     """Return the vertices whose degree bound the matching exceeds.
 
-    Empty result means the matching is a valid f-matching.  Edge ids out of
-    range raise ValueError.
+    Empty result means the matching is a valid f-matching.  A bound vector
+    that does not fit g and edge ids out of range raise ValueError.
     """
-    return list(compress(range(g.n), map(gt, checked_degrees(g, f, matching), f)))
+    check_inputs(g, f, matching)
+    deg = [0] * g.n
+    for u, v in map(g.edges.__getitem__, matching):
+        deg[u] += 1
+        deg[v] += 1
+    return list(compress(range(g.n), map(gt, deg, f)))

@@ -4,6 +4,8 @@ import pytest
 
 from ftrails.cli import main, parse_instance
 from ftrails.driver import max_f_matching
+from ftrails.engine import find_trails
+from ftrails.expand import expand_all, rematch
 from ftrails.multigraph import Multigraph
 from helpers import random_instance, random_valid_matching, run_phases
 from oracle import brute_max
@@ -95,6 +97,18 @@ def test_deep_triangle_chain():
     report = max_f_matching(g, [1] * g.n)
     assert len(report.matching) == 5000
     assert report.certificate.ok and report.certificate.bound == 5000
+
+
+def test_check_mode_on_deep_triangle_chain():
+    # check mode stays linear in the forest: the final phase nests 5000
+    # blossoms in one search, and each blossom step is checked on its new
+    # segment alone
+    g = triangle_chain(5000)
+    f = [1] * g.n
+    first = find_trails(g, f, set(), check=True)
+    final = find_trails(g, f, rematch(g, f, set(), expand_all(first)), check=True)
+    assert len(first.trails) == 5000 and final.trails == []
+    assert len(final.blossoms.base_record) == 5000
 
 
 def test_deep_triangle_strip():

@@ -5,6 +5,7 @@ from array import array
 import pytest
 
 from ftrails.driver import max_f_matching
+from ftrails import engine
 from ftrails.engine import ARTIFICIAL, CheckFailure, find_trails
 from ftrails.expand import expand_all, rematch
 from ftrails.multigraph import Multigraph, match_state
@@ -157,6 +158,113 @@ def test_skew_cascade_with_exit_augments():
     rec = next(iter(result.blossoms.root_record.values()))
     assert not rec.complete
     assert any(c is not None and c.complete for seg in rec.segments for c in seg.children)
+
+
+# Check mode catches a corrupted run.  Each test below corrupts one step of
+# a live run (from a trace line, through the run captured at set-up) and
+# expects the invariant that the corruption breaks to fire.
+
+
+def corrupted_run(monkeypatch, g, f, matching, at_line, corrupt):
+    """find_trails in check mode, calling corrupt(run) once the trace line
+    at_line has been emitted."""
+    runs = []
+    init = engine._Run.__init__
+
+    def capture(self, *args):
+        init(self, *args)
+        runs.append(self)
+
+    def sink(line):
+        if line == at_line:
+            corrupt(runs[0])
+
+    monkeypatch.setattr(engine._Run, "__init__", capture)
+    return find_trails(g, f, matching, check=True, trace=sink)
+
+
+def test_check_catches_a_vertex_in_two_blossoms(monkeypatch):
+    # search 0 makes a blossom of loops at vertex 1; search 1 forms one
+    # based at node 4 (vertex 2), whose atom 5 is moved to vertex 1
+    g = Multigraph(3, [(2, 0), (1, 1), (1, 1), (1, 1), (0, 2), (2, 0), (2, 2)])
+
+    def corrupt(run):
+        run.forest.vertex[5] = 1
+
+    with pytest.raises(CheckFailure, match="vertex 1 occurs in two blossoms"):
+        corrupted_run(monkeypatch, g, [1, 1, 2], {0}, "blossom base 4 path [5, 6]", corrupt)
+
+
+def test_check_catches_a_blossom_node_off_the_subtree(monkeypatch):
+    # test_pending_invocation_augments's blossom, with arc 5 hung from the
+    # search root instead of from node 4
+    g = Multigraph(5, [(3, 1), (2, 3), (2, 4), (3, 4)])
+
+    def corrupt(run):
+        run.forest.tail[5] = 1
+
+    with pytest.raises(CheckFailure, match="blossom node 5 detaches from the base subtree"):
+        corrupted_run(
+            monkeypatch, g, [1, 1, 2, 2, 1], {1, 3}, "blossom base 2 path [3, 4, 5]", corrupt
+        )
+
+
+def test_check_catches_a_skew_blossom_missing_its_base_vertex(monkeypatch):
+    # test_skew_cascade_unsuccessful's middle blossom, based at node 4,
+    # closes through the blossom based at node 6; node 4 is moved to
+    # vertex 0, which that blossom does not hold
+    g = Multigraph(7, SKEW_EDGES)
+
+    def corrupt(run):
+        run.forest.vertex[4] = 0
+
+    with pytest.raises(
+        CheckFailure, match="skew blossom's final sub-blossom misses the base vertex"
+    ):
+        corrupted_run(monkeypatch, g, SKEW_F, SKEW_M, "pop at 5 entry node 6 arc 6", corrupt)
+
+
+# Search 0 returns e1(2) = arc 1, an unmatched arc; search 1 then grows the
+# unmatched edge 0 from vertex 1 to vertex 2 as arc 4, a late arrival.
+LATE_G = Multigraph(3, [(1, 2), (2, 0), (0, 2)])
+LATE_F = [2, 1, 1]
+LATE_M = {2}
+
+
+def test_check_catches_a_late_arrival_of_the_wrong_m_type(monkeypatch):
+    def corrupt(run):
+        run.e1_arc[2] = 2  # a matched arc
+
+    with pytest.raises(
+        CheckFailure, match="arc 4 at vertex 2 arrived after e1 returned with the wrong M-type"
+    ):
+        corrupted_run(monkeypatch, LATE_G, LATE_F, LATE_M, "return node 1 arc 1", corrupt)
+
+
+def test_check_catches_a_late_arrival_that_grows(monkeypatch):
+    # reopening the matched edge 2 at vertex 2 lets arc 4 grow it again
+    def corrupt(run):
+        run.closed_m[2] = 0
+        run.cur_matched[2] = LATE_G.inc_off[2]
+
+    with pytest.raises(CheckFailure, match="arc 4 grown after e1 returned is not pendant"):
+        corrupted_run(monkeypatch, LATE_G, LATE_F, LATE_M, "grow 1->2 edge 0 arc 4", corrupt)
+
+
+def test_check_catches_an_enlarge_test_without_a_blossom(monkeypatch):
+    # vertex 0 is flagged as in a blossom of search 0, its occurrence being
+    # the atom at node 1 (vertex 1): the enlarge test fires at the root with
+    # no blossom below it
+    g = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
+
+    def corrupt(run):
+        run.vertex_blossom[0] = 0
+        run.vertex_occurrence[0] = 1
+
+    with pytest.raises(
+        CheckFailure, match="enlarge test fired at node 0 with no descendant of 0 in a blossom"
+    ):
+        corrupted_run(monkeypatch, g, [1, 1, 1], {1}, "search 0 root 0 node 0", corrupt)
 
 
 def test_vertex_roots_multiple_searches():
