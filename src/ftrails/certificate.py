@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Container
 from dataclasses import dataclass
 from itertools import compress
-from operator import add
+from operator import add, mul, ne
 from typing import NamedTuple, Optional
 
 from .engine import _FLIP, BlockingResult
@@ -37,6 +37,7 @@ _KIND: tuple[Optional[str], ...] = (IN_COMPLETE_BLOSSOM, None, None, ORPHAN)
 _IS_INNER = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x01\x00\x00")
 _IS_OUTER = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x00\x01\x00")
 _IS_UNLABELED = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x00\x00\x01")
+_E1_CODE = bytes.maketrans(b"\x00\x01", bytes((_INNER, _OUTER)))  # by e1's M-type
 _HALF = (2).__rfloordiv__  # x // 2
 
 
@@ -101,26 +102,24 @@ def _walk_complete(result: BlockingResult) -> tuple[bytearray, bytearray, set[tu
 
 def _codes(result: BlockingResult, in_complete: bytearray) -> bytearray:
     """The vertex codes: inner or outer by the M-type of the first returned
-    invocation, unless the vertex is in a complete blossom or never returned."""
-    matched = result.forest.matched
-    code = bytearray(len(in_complete))
-    for v, a in enumerate(result.e1_arc):
-        if in_complete[v]:
-            continue
-        code[v] = _ORPHAN if a < 0 else _OUTER if matched[a] else _INNER
+    invocation, unless the vertex is in a complete blossom or never returned.
+
+    One C-level map reads each vertex's code off its e1 arc; an e1 of -1
+    (nothing returned) reads the orphan code placed after the last arc."""
+    code_of_arc = result.forest.matched.translate(_E1_CODE) + bytes((_ORPHAN,))
+    code = bytearray(map(code_of_arc.__getitem__, result.e1_arc))
+    for v in compress(range(len(code)), in_complete):
+        code[v] = _IN_COMPLETE
     return code
 
 
-def _residual(
-    result: BlockingResult, inside: bytearray
-) -> tuple[bytes, bytes, bytes, list[int]]:
+def _residual(result: BlockingResult, inside: bytearray) -> tuple[bytes, bytes, bytes]:
     """Flags of the residual edges, of the residual matching and of the
-    matching the run started from, and f'.
+    matching the run started from.
 
     The flag arrays are combined bytewise as big integers, each converted
     once."""
-    g = result.g
-    m = g.m
+    m = result.g.m
     trail = bytearray(m)
     for t in expand_all(result):
         for e in t.edges:
@@ -129,24 +128,18 @@ def _residual(
     as_int = int.from_bytes
     residual_i = as_int(trail.translate(_FLIP), "big") | as_int(inside, "big")
     matched_i = (as_int(before, "big") ^ as_int(trail, "big")) & residual_i
-    residual = residual_i.to_bytes(m, "big")
-    matched = matched_i.to_bytes(m, "big")
-    f_prime = list(result.def_final)
-    for u, v in map(g.edges.__getitem__, compress(range(m), matched)):
-        f_prime[u] += 1
-        f_prime[v] += 1
-    return residual, matched, before, f_prime
+    return residual_i.to_bytes(m, "big"), matched_i.to_bytes(m, "big"), before
 
 
 class _OddSet(NamedTuple):
     """The odd-set expression's pieces over a set of edges, per labelling."""
 
     bound: int  # the odd-set expression's value
-    f_inner: int  # f summed over I
+    f_inner: int  # the degree bound summed over I
     gamma_o: int  # edges with both ends in O
     components: list[list[int]]  # of the unlabelled vertices, sorted
-    comp_f: list[int]  # f summed over each component
-    comp_cross: list[int]  # edges between each component and O
+    # each component's rounded term: f summed over it plus its edges to O, halved
+    comp_term: list[int]
     comp_matched: list[int]  # matched edges inside or leaving each component, I excluded
     matched_inner: int  # matched edges with an end in I
     inner_pairs: list[int]  # matched edges with both ends in I
@@ -160,7 +153,7 @@ class _OddSet(NamedTuple):
 
 def _odd_set(
     g: Multigraph,
-    f: list[int],
+    base: list[int],
     code: bytearray,
     edges,
     matched: bytes,
@@ -170,6 +163,12 @@ def _odd_set(
     """One pass over the given edge ids, then one over the unlabelled
     vertices, under the vertex codes and the matched-edge flags.
 
+    The degree bound is base plus each vertex's matched degree over the
+    given edges (a loop counting twice), added up in the same pass where
+    the expression reads it, at inner and unlabelled vertices: f' when
+    base is the final deficiency and the edges are the residual ones, f
+    itself when nothing is matched.
+
     Only verify's codes have orphans; their edges are checked against the
     flags of the matching before the run and the complete blossoms'
     (base vertex, base edge) pairs.  The components come from a
@@ -178,6 +177,7 @@ def _odd_set(
     """
     n = g.n
     ends = g.edges
+    f = list(base)
     cross = [0] * n  # per unlabelled vertex
     hits = [0] * n
     root = list(range(n))
@@ -188,32 +188,45 @@ def _odd_set(
     orphan_off_base: list[int] = []
     for e in edges:
         u, v = ends[e]
-        cu, cv = code[u], code[v]
-        if (cu == _ORPHAN) != (cv == _ORPHAN):
-            y, cy = (v, cv) if cu == _ORPHAN else (u, cu)
-            if cy == _IN_COMPLETE:
-                if (y, e) not in bases:
-                    orphan_off_base.append(e)
-            elif before[e] != (cy == _OUTER):
-                orphan_mistyped.append(e)
+        cu = code[u]
+        cv = code[v]
+        me = matched[e]
+        # an orphan end is tested in the branch of its other end's code
         if cu == _INNER or cv == _INNER:
-            if matched[e]:
+            if me:
                 matched_inner += 1
+                f[u] += 1
+                f[v] += 1
                 if cu == cv:
                     inner_pairs.append(e)
+            if cu + cv == _INNER + _ORPHAN and before[e]:
+                orphan_mistyped.append(e)
         elif cu == _OUTER:
             if cv == _OUTER:
                 gamma_o += 1
-                if not matched[e]:
+                if not me:
                     open_outer.append(e)
             else:
                 cross[v] += 1
-                hits[v] += matched[e]
+                if me:
+                    hits[v] += 1
+                    f[v] += 1
+                if cv == _ORPHAN and not before[e]:
+                    orphan_mistyped.append(e)
         elif cv == _OUTER:
             cross[u] += 1
-            hits[u] += matched[e]
+            if me:
+                hits[u] += 1
+                f[u] += 1
+            if cu == _ORPHAN and not before[e]:
+                orphan_mistyped.append(e)
         else:
-            hits[u] += matched[e]
+            if cu != cv and ((u if cu == _IN_COMPLETE else v), e) not in bases:
+                orphan_off_base.append(e)
+            if me:
+                hits[u] += 1
+                f[u] += 1
+                f[v] += 1
             while root[u] != u:
                 root[u] = u = root[root[u]]
             while root[v] != v:
@@ -242,10 +255,10 @@ def _odd_set(
             comp_cross[cid] += cross[s]
             comp_matched[cid] += hits[s]
     f_inner = sum(compress(f, code.translate(_IS_INNER)))
-    bound = f_inner + gamma_o + sum(map(_HALF, map(add, comp_f, comp_cross)))
+    comp_term = list(map(_HALF, map(add, comp_f, comp_cross)))
     return _OddSet(
-        bound, f_inner, gamma_o, components, comp_f, comp_cross, comp_matched,
-        matched_inner, inner_pairs, open_outer, orphan_mistyped, orphan_off_base,
+        f_inner + gamma_o + sum(comp_term), f_inner, gamma_o, components, comp_term,
+        comp_matched, matched_inner, inner_pairs, open_outer, orphan_mistyped, orphan_off_base,
     )
 
 
@@ -258,8 +271,13 @@ def residual_graph(result: BlockingResult) -> ResidualGraph:
     residual edges, and the residual degree bound at x is its residual
     matched degree plus its final deficiency.
     """
-    residual, matched, _before, f_prime = _residual(result, _walk_complete(result)[1])
-    ids = range(result.g.m)
+    g = result.g
+    residual, matched, _before = _residual(result, _walk_complete(result)[1])
+    ids = range(g.m)
+    f_prime = list(result.def_final)
+    for u, v in map(g.edges.__getitem__, compress(ids, matched)):
+        f_prime[u] += 1
+        f_prime[v] += 1
     return ResidualGraph(
         frozenset(compress(ids, residual)), frozenset(compress(ids, matched)), f_prime
     )
@@ -308,22 +326,22 @@ def verify(result: BlockingResult) -> CertificateReport:
     bound equals the residual matching size.
 
     Everything comes from the result alone: one walk over the maximal
-    complete blossoms, flag arrays for the trail, matching and residual
-    edges, and one pass over the residual edges.
+    complete blossoms, one C-level map for the vertex codes, flag arrays
+    for the trail, matching and residual edges, and one pass over the
+    residual edges, which also adds up f' from the final deficiencies.
     """
     g = result.g
     in_complete, inside, complete_bases = _walk_complete(result)
     code = _codes(result, in_complete)
-    residual, matched, before, f_prime = _residual(result, inside)
+    residual, matched, before = _residual(result, inside)
     odd = _odd_set(
-        g, f_prime, code, compress(range(g.m), residual), matched, before, complete_bases
+        g, result.def_final, code, compress(range(g.m), residual), matched, before,
+        complete_bases,
     )
 
-    def_final = result.def_final
     failures = []
-    for v in compress(range(g.n), code.translate(_IS_INNER)):
-        if def_final[v] != 0:
-            failures.append(f"inner vertex {v} is deficient")
+    for v in compress(range(g.n), map(mul, code.translate(_IS_INNER), result.def_final)):
+        failures.append(f"inner vertex {v} is deficient")
     for e in odd.inner_pairs:
         failures.append(f"matched residual edge {e} joins two inner vertices")
     for e in odd.open_outer:
@@ -333,14 +351,14 @@ def verify(result: BlockingResult) -> CertificateReport:
             f"inner vertices carry {odd.matched_inner} matched residual edges, "
             f"expected {odd.f_inner}"
         )
-    for members, fc, cross, hits in zip(
-        odd.components, odd.comp_f, odd.comp_cross, odd.comp_matched
-    ):
-        term = (fc + cross) // 2
-        if fc + cross - 2 * hits not in (0, 1) or hits != term:
-            failures.append(
-                f"component {members} has {hits} matched edges against bound term {term}"
-            )
+    # a component's matched edges equal its term exactly when its f plus
+    # its edges to O leave 0 or 1 over twice its matched edges
+    terms, hits = odd.comp_term, odd.comp_matched
+    for c in compress(range(len(terms)), map(ne, hits, terms)):
+        failures.append(
+            f"component {odd.components[c]} has {hits[c]} matched edges "
+            f"against bound term {terms[c]}"
+        )
 
     bound = odd.bound
     residual_size = matched.count(1)

@@ -30,7 +30,7 @@ from .certificate import (
 )
 from .engine import CheckFailure, StructuralError
 from .driver import max_f_matching, run_phase
-from .multigraph import Multigraph, match_state, validate_matching
+from .multigraph import F_MAX, Multigraph, match_state, validate_matching
 
 
 @dataclass
@@ -66,6 +66,8 @@ def parse_instance(text: str) -> Instance:
                     raise ValueError(f"vertex {v} out of range")
                 if b < 0:
                     raise ValueError(f"degree bound {b} of vertex {v} is negative")
+                if b > F_MAX:
+                    raise ValueError(f"degree bound {b} of vertex {v} exceeds {F_MAX}")
                 bounds[v - 1] = b
             elif parts[0] == "e":
                 u, v = int(parts[1]), int(parts[2])

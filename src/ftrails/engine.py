@@ -52,7 +52,7 @@ from itertools import compress
 from operator import index
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .multigraph import MatchState, Multigraph, check_inputs, deficiencies, match_state
+from .multigraph import MatchState, Multigraph, check_inputs, count_matched, match_state
 
 ARTIFICIAL = -1
 
@@ -223,7 +223,7 @@ def _check_carried(g: Multigraph, f: list[int], state: MatchState, check: bool) 
         raise ValueError(f"matching state needs {g.n} deficiencies, none negative")
     if check:
         check_inputs(g, f, ())
-        if deficiencies(g, f, compress(range(g.m), flags)).tolist() != list(deficiency):
+        if count_matched(g, f, compress(range(g.m), flags))[1] != list(deficiency):
             raise CheckFailure("carried deficiencies disagree with the matched flags")
 
 
@@ -564,9 +564,9 @@ class _Run:
 
     # -- steps -------------------------------------------------------------
 
-    def _path_down(self, top: int, bottom: int) -> tuple[list[int], list[int]]:
-        """The base arcs of the components below top down to bottom, top
-        first, and the roots of those components.
+    def _path_down(self, top: int, bottom: int) -> list[int]:
+        """The base arcs of the components below top down to bottom,
+        bottom first.
 
         Walks contracted parents upward from bottom, which must descend
         from top; find runs only where a tail is not a root itself.
@@ -576,13 +576,10 @@ class _Run:
         par = store.parent
         root_record = store.root_record
         arcs: list[int] = []
-        roots: list[int] = []
         cur = bottom
         while cur != top:
-            rec = root_record.get(cur)
-            b = cur if rec is None else rec.base_node
+            b = root_record[cur].base_node if cur in root_record else cur
             arcs.append(b)
-            roots.append(cur)
             t = tail[b]
             if t < 0:
                 raise StructuralError(
@@ -590,9 +587,7 @@ class _Run:
                     + (("\n" + self._dump()) if self.check else "")
                 )
             cur = t if par[t] == t else store.find(t)
-        arcs.reverse()
-        roots.reverse()
-        return arcs, roots
+        return arcs
 
     def _blossom_step(
         self, node: int, rn: int, rm: int, sid: int
@@ -605,7 +600,10 @@ class _Run:
         forest = self.forest
         store = self.store
         root_record = store.root_record
-        path, roots = self._path_down(rn, rm)  # property (*): rm descends from rn
+        par, sz, find = store.parent, store.size, store.find
+        path = self._path_down(rn, rm)[::-1]  # property (*): rm descends from rn
+        # a base arc is its own root unless its component is a blossom
+        roots = [a if par[a] == a else find(a) for a in path]
 
         rec = root_record.pop(rn, None)
         children = [root_record.pop(r, None) for r in roots]
@@ -620,7 +618,6 @@ class _Run:
         # components (distinct roots, each merged once) into rn's by size
         vertex_blossom = self.vertex_blossom
         vertex_occurrence = self.vertex_occurrence
-        par, sz = store.parent, store.size
         base = rec.base_node
         bv = vertex[base]
         vertex_blossom[bv] = sid
@@ -629,7 +626,7 @@ class _Run:
             # before the unions merge it away: whether the final child holds
             # the base vertex's owner, for the skew check
             o = self.owner[bv]
-            owner_in_last = o >= 0 and store.find(o) == roots[-1]
+            owner_in_last = o >= 0 and find(o) == roots[-1]
         root = rn
         for a, child, r in zip(path, children, roots):
             if child is None:
@@ -657,7 +654,7 @@ class _Run:
         par, find = self.store.parent, self.store.find
         top = root if par[root] == root else find(root)
         bottom = node if par[node] == node else find(node)
-        return Trail(alpha, x, tuple(self._path_down(top, bottom)[0]), node, arc)
+        return Trail(alpha, x, tuple(reversed(self._path_down(top, bottom))), node, arc)
 
     # -- check-mode invariants -------------------------------------------
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Iterator, Optional
@@ -280,8 +281,10 @@ def pi_trail(
 def expand_trail(result: BlockingResult, trail: Trail, router: _Router) -> GTrail:
     """Expand a contracted trail into an alternating trail of graph edges.
 
-    Reads the union-find parents and the root records directly: find runs
-    only for a tail that is not a root itself.
+    Reads the union-find parents and the root records directly.  A node is
+    in a blossom when its parent is another node or it roots a record; an
+    arc whose tail is in none only adds its edge, and find runs only for a
+    tail that is not a root itself.
     """
     forest = result.forest
     tail, edge, matched = forest.tail, forest.edge, forest.matched
@@ -291,9 +294,10 @@ def expand_trail(result: BlockingResult, trail: Trail, router: _Router) -> GTrai
     edges: list[int] = []
     for a in trail.arcs:
         t = tail[a]
-        rec = root_record.get(t if par[t] == t else find(t))
-        if rec is not None:
-            edges += router.route(rec, t, not matched[a], reverse=True)
+        if par[t] != t or t in root_record:
+            rec = root_record.get(find(t))
+            if rec is not None:
+                edges += router.route(rec, t, not matched[a], reverse=True)
         edges.append(edge[a])
 
     final = trail.final_node
@@ -320,41 +324,56 @@ def expand_all(result: BlockingResult) -> list[GTrail]:
     return result.expanded
 
 
-def check_gtrail(g: Multigraph, matching: set[int], trail: GTrail) -> list[str]:
-    """Violations of trail validity: alternation, connectivity, distinctness."""
-    return _trail_problems(g, matching.__contains__, trail)
+def _faults(g: Multigraph, matched, flipped, trails: list[GTrail]) -> tuple[int, list[str]]:
+    """The one pass that checks trails: the index of the first trail with
+    a fault and check_gtrail's words for its faults, in the order found,
+    or len(trails) and none.
 
-
-def _trail_problems(g: Multigraph, is_matched, trail: GTrail) -> list[str]:
-    """check_gtrail's problems, with is_matched(e) telling the M-type of e."""
-    problems: list[str] = []
-    edges = trail.edges
-    if not edges:
-        return ["empty trail"]
+    Walks each trail's edges from its root and sets flipped[e] for each;
+    an edge already set is a repeat, so trails that share an edge meet it
+    as a repeat too.  matched[e] is the M-type of e.  An unknown edge id or
+    a break in continuity ends the walk.
+    """
     ends = g.edges
     m = len(ends)
-    seen: set[int] = set()
-    prev_matched = None
-    at = trail.root_vertex
-    for e in edges:
-        if not 0 <= e < m:
-            return problems + [f"unknown edge id {e}"]
-        u, v = ends[e]
-        if at != u and at != v:
-            return problems + [f"edge {e} does not continue the trail at {at}"]
-        at = v if at == u else u
-        if e in seen:
-            problems.append(f"edge {e} repeats")
-        seen.add(e)
-        em = is_matched(e)
-        if em == prev_matched:
-            problems.append(f"no alternation entering edge {e}")
-        prev_matched = em
-    if at != trail.terminal_vertex:
-        problems.append("trail does not end at its terminal vertex")
-    if is_matched(edges[0]) or is_matched(edges[-1]):
-        problems.append("extreme edge is matched")
-    return problems
+    faults: list[str] = []
+    for i, trail in enumerate(trails):
+        edges = trail.edges
+        if not edges:
+            return i, ["empty trail"]
+        prev = None  # the M-type of the previous edge
+        at = trail.root_vertex
+        for e in edges:
+            if not 0 <= e < m:
+                faults.append(f"unknown edge id {e}")
+                return i, faults
+            u, v = ends[e]
+            if at == u:
+                at = v
+            elif at == v:
+                at = u
+            else:
+                faults.append(f"edge {e} does not continue the trail at {at}")
+                return i, faults
+            if flipped[e]:
+                faults.append(f"edge {e} repeats")
+            flipped[e] = 1
+            em = matched[e]
+            if em == prev:
+                faults.append(f"no alternation entering edge {e}")
+            prev = em
+        if at != trail.terminal_vertex:
+            faults.append("trail does not end at its terminal vertex")
+        if matched[edges[0]] or prev:
+            faults.append("extreme edge is matched")
+        if faults:
+            return i, faults
+    return len(trails), faults
+
+
+def check_gtrail(g: Multigraph, matching: set[int], trail: GTrail) -> list[str]:
+    """Violations of trail validity: alternation, connectivity, distinctness."""
+    return _faults(g, {e: e in matching for e in trail.edges}, defaultdict(int), [trail])[1]
 
 
 def rematch(
@@ -371,25 +390,32 @@ def rematch(
     The trails must be pairwise edge-disjoint alternating trails with
     deficient endpoints; any violation signals an engine bug and raises.
     The result is a valid matching exactly one edge larger per trail.
+
+    Each trail edge is checked and marked flipped in one pass (_faults):
+    range, continuity, no repeated or already flipped edge, alternation
+    from an unmatched first edge to an unmatched last edge, and the
+    terminal.  A fault is reported as check_gtrail's first problem for
+    that trail, or, when the trail is valid on its own, as the first edge
+    it shares with an earlier trail.  The deficiency of each trail end
+    drops by one, and the flipped edges must grow the matching by one per
+    trail.
     """
     state = matching if isinstance(matching, MatchState) else match_state(g, f, matching)
     before = state.flags
-    is_matched = before.__getitem__
-    flags = bytearray(before)
+    flipped = bytearray(g.m)
     deficiency = array("i", state.deficiency)
-    grown = 0
-    ends: list[int] = []  # trail ends that went below zero
-    for t in trails:
-        problems = _trail_problems(g, is_matched, t)
+    i, faults = _faults(g, before, flipped, trails)
+    if faults:
+        # the trail's own first fault, else the first edge it shares with
+        # an earlier trail
+        problems = _faults(g, before, defaultdict(int), trails[i : i + 1])[1]
         if problems:
             raise ValueError(f"invalid augmenting trail: {problems[0]}")
-        # the trail repeats no edge, so a flag already flipped is another
-        # trail's edge
-        for e in t.edges:
-            if flags[e] != before[e]:
-                raise ValueError(f"trails are not edge-disjoint: edge {e}")
-            flags[e] ^= 1
-            grown += 1 - 2 * before[e]
+        earlier = {e for t in trails[:i] for e in t.edges}
+        shared = next(e for e in trails[i].edges if e in earlier)
+        raise ValueError(f"trails are not edge-disjoint: edge {shared}")
+    ends: list[int] = []  # trail ends that went below zero
+    for t in trails:
         # alternation keeps every interior degree; only the trail ends gain
         r, s = t.root_vertex, t.terminal_vertex
         deficiency[r] -= 1
@@ -399,8 +425,10 @@ def rematch(
     if ends:
         bad = sorted({v for v in ends if deficiency[v] < 0})
         raise ValueError(f"rematching violates degree bounds at {bad}")
-    if grown != len(trails):
+    flags = (int.from_bytes(before, "big") ^ int.from_bytes(flipped, "big")).to_bytes(g.m, "big")
+    # each flipped edge adds 1 - 2 * its M-type before
+    if flags.count(1) - before.count(1) != len(trails):
         raise ValueError("rematching did not grow the matching by one per trail")
     if state is matching:
-        return MatchState(bytes(flags), deficiency)
+        return MatchState(flags, deficiency)
     return set(compress(range(g.m), flags))

@@ -75,45 +75,55 @@ class MatchState(NamedTuple):
     deficiency: array
 
 
+# the largest degree bound a deficiency array (typecode "i") holds
+F_MAX = 2**31 - 1
+
+
 def check_inputs(g: Multigraph, f: list[int], matching) -> None:
-    """Validate a per-vertex degree bound vector and a matching's edge ids
-    against g, raising ValueError."""
+    """Validate a per-vertex degree bound vector (each bound in 0..F_MAX)
+    and a matching's edge ids against g, raising ValueError."""
     if len(f) != g.n:
         raise ValueError(f"degree bound vector has length {len(f)}, expected {g.n}")
     if f and min(f) < 0:
         v = next(v for v, b in enumerate(f) if b < 0)
         raise ValueError(f"degree bound f({v}) = {f[v]} is negative")
+    if f and max(f) > F_MAX:
+        v = next(v for v, b in enumerate(f) if b > F_MAX)
+        raise ValueError(f"degree bound f({v}) = {f[v]} exceeds {F_MAX}")
     m = g.m
     if matching and (min(matching) < 0 or max(matching) >= m):
         e = next(e for e in matching if not 0 <= e < m)
         raise ValueError(f"matching contains unknown edge id {e}")
 
 
-def deficiencies(g: Multigraph, f: list[int], matching) -> array:
-    """f minus each vertex's degree in the matching (edge ids known to be
-    valid), a loop counting twice, in one pass."""
-    deficiency = array("i", f)
-    for u, v in map(g.edges.__getitem__, matching):
+def count_matched(g: Multigraph, f: list[int], matching) -> tuple[bytearray, list[int]]:
+    """The matched flags and the deficiencies (f minus each vertex's degree
+    in the matching, a loop counting twice) of valid edge ids, in one loop
+    that counts on a list."""
+    flags = bytearray(g.m)
+    deficiency = list(f)
+    ends = g.edges
+    for e in matching:
+        flags[e] = 1
+        u, v = ends[e]
         deficiency[u] -= 1
         deficiency[v] -= 1
-    return deficiency
+    return flags, deficiency
 
 
 def match_state(g: Multigraph, f: list[int], matching: set[int]) -> MatchState:
-    """The state of a set of edge ids.
+    """The state of a set of edge ids: one loop over the set makes the
+    flags and the deficiencies, which become one array at the end.
 
     Makes validate_matching's checks, in its order and with its messages,
     and raises ValueError where it would report a fault.
     """
     check_inputs(g, f, matching)
-    deficiency = deficiencies(g, f, matching)
+    flags, deficiency = count_matched(g, f, matching)
     if g.n and min(deficiency) < 0:
         bad = [v for v in range(g.n) if deficiency[v] < 0]
         raise ValueError(f"matching violates degree bounds at vertices {bad}")
-    flags = bytearray(g.m)
-    for e in matching:
-        flags[e] = 1
-    return MatchState(bytes(flags), deficiency)
+    return MatchState(bytes(flags), array("i", deficiency))
 
 
 def validate_matching(g: Multigraph, f: list[int], matching: set[int]) -> list[int]:

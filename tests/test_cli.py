@@ -132,6 +132,17 @@ def test_malformed_file_exits_one(tmp_path):
     assert code == 1
 
 
+def test_degree_bound_beyond_the_deficiency_array_exits_one_with_one_line(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("p ftrails 2 1\nf 1 99999999999\ne 1 2\n")
+    for command in ("solve", "block"):
+        code, out = run_cli([command, str(path)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "error: line 2: degree bound 99999999999 of vertex 1 exceeds 2147483647\n"
+        )
+
+
 def test_gen_deterministic(tmp_path):
     code1, out1 = run_cli(["gen", "6", "10", "3", "7"])
     code2, out2 = run_cli(["gen", "6", "10", "3", "7"])

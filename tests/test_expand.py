@@ -370,3 +370,54 @@ def test_router_numbers_each_node_once():
             assert router.order[lo:hi] == list(rec.iter_nodes())
         checked += 1
     assert checked
+
+
+def _path3_trail(root, terminal, edges):
+    return GTrail(root_vertex=root, terminal_vertex=terminal, edges=edges, g=PATH3)
+
+
+def _snapshot(matching):
+    """A copy of a matching as a set, or of a state's flags and deficiencies."""
+    if isinstance(matching, set):
+        return set(matching)
+    return bytes(matching.flags), matching.deficiency.tolist()
+
+
+# (trails as (root, terminal, edges), matching, expected message); f = PATH3_F
+# keeps every matching valid, so each call reaches the trail checks
+PATH3_F = [2, 3, 2, 2]
+INVALID = "invalid augmenting trail: "
+REMATCH_FAULTS = [
+    ([(0, 1, (0, 7))], set(), INVALID + "unknown edge id 7"),
+    ([(0, 1, (0, 2, 1))], {2}, INVALID + "edge 2 does not continue the trail at 1"),
+    ([(0, 1, (0, 3, 0))], {3}, INVALID + "edge 0 repeats"),
+    ([(0, 2, (0, 1))], set(), INVALID + "no alternation entering edge 1"),
+    ([(0, 2, (0, 1))], {1}, INVALID + "extreme edge is matched"),
+    ([(0, 2, (0, 1, 2))], {1}, INVALID + "trail does not end at its terminal vertex"),
+    ([(0, 3, ())], set(), INVALID + "empty trail"),
+    ([(0, 1, (0,)), (1, 0, (0,))], set(), "trails are not edge-disjoint: edge 0"),
+    # a trail's own fault comes before the edge it shares with an earlier one
+    ([(1, 2, (1,)), (1, 3, (1, 2))], set(), INVALID + "no alternation entering edge 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "specs, matching, message",
+    REMATCH_FAULTS,
+    ids=["unknown", "continuation", "repeat", "alternation", "extreme", "terminal", "empty",
+         "shared", "own-fault-first"],
+)
+def test_rematch_rejects_each_fault_as_check_gtrail_words_it(specs, matching, message):
+    trails = [_path3_trail(*spec) for spec in specs]
+    # the first faulty trail's first check_gtrail problem, word for word
+    problems = [p for t in trails for p in check_gtrail(PATH3, matching, t)]
+    if message.startswith(INVALID):
+        assert problems[0] == message.removeprefix(INVALID)
+    else:
+        assert problems == []
+    for given in set_and_state(PATH3, PATH3_F, matching):
+        kept = _snapshot(given)
+        with pytest.raises(ValueError) as caught:
+            rematch(PATH3, PATH3_F, given, trails)
+        assert str(caught.value) == message
+        assert _snapshot(given) == kept  # a rejected call changes nothing

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from ftrails.driver import max_f_matching
 from ftrails.engine import find_trails
-from ftrails.multigraph import Multigraph, validate_matching
+from ftrails.multigraph import Multigraph, check_inputs, match_state, validate_matching
 from helpers import random_instance, random_valid_matching
 
 
@@ -81,3 +82,20 @@ def test_exor_gives_the_far_end():
         for end in (u, v):
             assert end ^ g.exor[e] == g.other_end(e, end)
     assert g.exor[0] == g.exor[2] == 0
+
+
+def test_degree_bound_beyond_the_deficiency_array_is_a_value_error():
+    # a deficiency array holds bounds up to 2^31 - 1; a larger one is
+    # named, never an OverflowError
+    g = Multigraph(2, [(0, 1)])
+    message = r"^degree bound f\(0\) = 99999999999 exceeds 2147483647$"
+    with pytest.raises(ValueError, match=message):
+        check_inputs(g, [99999999999, 1], set())
+    for call in (validate_matching, match_state):
+        with pytest.raises(ValueError, match=message):
+            call(g, [99999999999, 1], set())
+    with pytest.raises(ValueError, match=message):
+        max_f_matching(g, [99999999999, 1])
+    with pytest.raises(ValueError, match=message):
+        find_trails(g, [99999999999, 1], set())
+    assert max_f_matching(g, [2**31 - 1, 1]).matching == {0}
