@@ -26,6 +26,15 @@ A grow step scans its vertex's segment of the graph's g.inc_flat, skipping
 edges of the other M-type, and reads the far end of the edge it grows as
 x ^ g.exor[e] from one array.
 
+The blossom tests at a vertex x read its BL list and its occurrence, and
+share one pop.  An x in no blossom (occurrence -1) only gains BL entries
+through a base test that found none of the other M-type, so its entries
+share one M-type and the base test reads the first entry's.  Nodes are
+numbered in creation order and an occurrence is written only by a blossom
+step of the current search, so x is flagged in this search, and the
+enlarge test applies, exactly when its occurrence is at or after the
+search's root arc.
+
 A matching reaches a run as a set of edge ids or as a MatchState: per-edge
 matched flags plus per-vertex deficiencies.  From a set, the set-up builds
 the state (match_state), which makes validate_matching's checks with its
@@ -70,16 +79,15 @@ class BlossomSegment:
     """One closed-trail addition made by a single non-noop blossom step.
 
     arcs are the forest arcs of the contracted path P, ordered from the
-    base side downward.  children[i] is the frozen sub-blossom entered
-    through arcs[i], or None when the head of arcs[i] is an atom.
-    start_node is the tail node of arcs[0]; closure_node is the node whose
+    base side downward; the segment starts at the tail node of arcs[0].
+    children[i] is the frozen sub-blossom entered through arcs[i], or None
+    when the head of arcs[i] is an atom.  closure_node is the node whose
     invocation popped the triggering entry (it shares its vertex with the
     far end of the path).
     """
 
     arcs: list[int]
     children: list[Optional["BlossomRecord"]]
-    start_node: int
     closure_node: int
 
 
@@ -285,18 +293,20 @@ class _Run:
 
         # per-vertex FIFO lists of returned invocations awaiting blossom
         # steps (the first pop must return the first entry), flattened into
-        # one entry arena with per-vertex first/last links
+        # one entry arena with per-vertex first/last links.  While a vertex
+        # is in no blossom its entries share one M-type, so the base test
+        # reads the first entry's.
         self.bl_first = minus1[:n]
         self.bl_last = minus1[:n]
-        self.bl_cnt_m = zeros[:n]
-        self.bl_cnt_u = zeros[:n]
         self.bl_entry_node = zeros[:]
         self.bl_entry_arc = zeros[:]
         self.bl_entry_next = minus1  # -1 ends a list
         self.e1_arc = minus1[:n]
-        self.vertex_blossom = minus1[:n]
-        # one occurrence of each flagged vertex inside its unique blossom;
-        # stays valid across enlargements since merged nodes keep their set
+        # one occurrence of each vertex inside its unique blossom, -1 while
+        # it is in none; stays valid across enlargements since merged nodes
+        # keep their set.  Nodes are numbered in creation order, so the
+        # occurrence is at or after the search's root arc exactly when the
+        # vertex was flagged in the current search.
         self.vertex_occurrence = minus1[:n]
         self.store = BlossomStore(cap)
         self.n_arcs = 0
@@ -326,7 +336,7 @@ class _Run:
                 f"root={self.store.find(a)}"
             )
         for root, rec in self.store.root_record.items():
-            segs = [(seg.arcs, seg.start_node, seg.closure_node) for seg in rec.segments]
+            segs = [(seg.arcs, fo.tail[seg.arcs[0]], seg.closure_node) for seg in rec.segments]
             lines.append(
                 f"  blossom root={root} base={rec.base_node} complete={rec.complete} "
                 f"segments={segs}"
@@ -365,9 +375,6 @@ class _Run:
         bl_entry_next = self.bl_entry_next
         bl_first = self.bl_first
         bl_last = self.bl_last
-        bl_cnt_m = self.bl_cnt_m
-        bl_cnt_u = self.bl_cnt_u
-        vertex_blossom = self.vertex_blossom
         vertex_occurrence = self.vertex_occurrence
         e1_arc = self.e1_arc
         trails = self.trails
@@ -456,58 +463,40 @@ class _Run:
                         state = BLOSSOM
 
                     # state == BLOSSOM
-                    flag = vertex_blossom[x]
-                    popped_node = -1
-                    if flag < 0:
-                        # blossom base test: x occurs in no blossom
-                        if (bl_cnt_u[x] if amu else bl_cnt_m[x]) > 0:
-                            h = bl_first[x]
-                            bl_first[x] = bl_entry_next[h]
-                            if bl_entry_next[h] < 0:
-                                bl_last[x] = -1
-                            popped_node = bl_entry_node[h]
-                            popped_arc = bl_entry_arc[h]
-                            if fmatched[popped_arc]:
-                                bl_cnt_m[x] -= 1
-                            else:
-                                bl_cnt_u[x] -= 1
-                            if fmatched[popped_arc] == amu:
-                                raise StructuralError(
-                                    "first BL entry has the wrong M-type in a base test"
-                                )
-                    elif flag == sid:
-                        # blossom enlarge test: the node itself, or a
-                        # descendant occurrence of x, is in a blossom of this
-                        # search.  While a scan is active every node with a
-                        # larger id sits inside its call subtree, so an
-                        # occurrence outside the blossom is an ancestor of the
-                        # blossom's base exactly when its id is smaller.
-                        enlarge = par[node] != node or sz[node] > 1
-                        if not enlarge:
-                            o = vertex_occurrence[x]
+                    o = vertex_occurrence[x]
+                    h = bl_first[x]
+                    if o < 0:
+                        # blossom base test: x occurs in no blossom, so its
+                        # entries share one M-type; pop one of the other type
+                        if h >= 0 and fmatched[bl_entry_arc[h]] == amu:
+                            h = -1
+                    elif o >= root:
+                        # blossom enlarge test: x is flagged in this search,
+                        # and the node itself, or a descendant occurrence of
+                        # x, is in a blossom.  While a scan is active every
+                        # node with a larger id sits inside its call subtree,
+                        # so an occurrence outside the blossom is an ancestor
+                        # of the blossom's base exactly when its id is smaller.
+                        if par[node] == node and sz[node] == 1:
                             r = o if par[o] == o else find(o)
                             rec = root_record.get(r)
-                            enlarge = node < (r if rec is None else rec.base_node)
-                        if enlarge:
-                            h = bl_first[x]
-                            if h >= 0:
-                                bl_first[x] = bl_entry_next[h]
-                                if bl_entry_next[h] < 0:
-                                    bl_last[x] = -1
-                                popped_node = bl_entry_node[h]
-                                popped_arc = bl_entry_arc[h]
-                                if fmatched[popped_arc]:
-                                    bl_cnt_m[x] -= 1
-                                else:
-                                    bl_cnt_u[x] -= 1
-                                if check:
-                                    self.n_arcs = n_arcs
-                                    self._check_enlarge_applies(node, x)
-                    # else: x has blossom occurrences that do not descend from
-                    # here (or only in an earlier search); this scan pops
-                    # nothing.
+                            if node >= (r if rec is None else rec.base_node):
+                                h = -1
+                        if check and h >= 0:
+                            self.n_arcs = n_arcs
+                            self._check_enlarge_applies(node, x)
+                    else:
+                        # x is in a blossom of an earlier search: this scan
+                        # pops nothing
+                        h = -1
 
-                    if popped_node >= 0:
+                    if h >= 0:
+                        nxt = bl_entry_next[h]
+                        bl_first[x] = nxt
+                        if nxt < 0:
+                            bl_last[x] = -1
+                        popped_node = bl_entry_node[h]
+                        popped_arc = bl_entry_arc[h]
                         if trace is not None:
                             trace(f"pop at {x} entry node {popped_node} arc {popped_arc}")
                         if check and popped_arc < root:  # arcs are numbered in creation order
@@ -521,7 +510,7 @@ class _Run:
                             continue
                         self.n_arcs = n_arcs
                         frames.append((node, arc, x, amu, BLOSSOM))
-                        frames += self._blossom_step(node, rn, rm, sid)
+                        frames += self._blossom_step(node, rn, rm)
                         node, arc, x, amu, state = frames.pop()
                         continue
 
@@ -536,17 +525,13 @@ class _Run:
                     else:
                         bl_first[x] = idx
                     bl_last[x] = idx
-                    if amu:  # amu is the M-type of arc
-                        bl_cnt_m[x] += 1
-                    else:
-                        bl_cnt_u[x] += 1
                     if e1_arc[x] < 0:
                         e1_arc[x] = arc
                         if check:
                             e1_at[x] = n_arcs
-                    if arc == node and flag == sid:
+                    if arc == node and o >= root:
                         # head-flavor return: may complete a blossom based
-                        # here; the blossom step that made it flagged x with
+                        # here; the blossom step that made it flagged x in
                         # this search
                         rec = base_record.get(node)
                         if rec is not None:
@@ -565,11 +550,12 @@ class _Run:
     # -- steps -------------------------------------------------------------
 
     def _path_down(self, top: int, bottom: int) -> list[int]:
-        """The base arcs of the components below top down to bottom,
-        bottom first.
+        """The base arcs of the components below top down to bottom, top
+        first.
 
         Walks contracted parents upward from bottom, which must descend
-        from top; find runs only where a tail is not a root itself.
+        from top, and reverses once; find runs only where a tail is not a
+        root itself.
         """
         tail = self.forest.tail
         store = self.store
@@ -587,11 +573,10 @@ class _Run:
                     + (("\n" + self._dump()) if self.check else "")
                 )
             cur = t if par[t] == t else store.find(t)
+        arcs.reverse()
         return arcs
 
-    def _blossom_step(
-        self, node: int, rn: int, rm: int, sid: int
-    ) -> list[tuple[int, int, int, int, int]]:
+    def _blossom_step(self, node: int, rn: int, rm: int) -> list[tuple[int, int, int, int, int]]:
         """Contract the path from component rn down to the popped component rm.
 
         Returns the START frames of the invocations the step leaves
@@ -601,7 +586,7 @@ class _Run:
         store = self.store
         root_record = store.root_record
         par, sz, find = store.parent, store.size, store.find
-        path = self._path_down(rn, rm)[::-1]  # property (*): rm descends from rn
+        path = self._path_down(rn, rm)  # property (*): rm descends from rn
         # a base arc is its own root unless its component is a blossom
         roots = [a if par[a] == a else find(a) for a in path]
 
@@ -611,16 +596,15 @@ class _Run:
             rec = BlossomRecord(node, [])
             store.base_record[node] = rec
         tail, vertex = forest.tail, forest.vertex
-        seg = BlossomSegment(path, children, tail[path[0]], node)
+        seg = BlossomSegment(path, children, node)
         rec.segments.append(seg)
 
-        # flag the new atoms with this search, and union the path's
-        # components (distinct roots, each merged once) into rn's by size
-        vertex_blossom = self.vertex_blossom
+        # flag the base and the new atoms by their occurrences, and union
+        # the path's components (distinct roots, each merged once) into
+        # rn's by size
         vertex_occurrence = self.vertex_occurrence
         base = rec.base_node
         bv = vertex[base]
-        vertex_blossom[bv] = sid
         vertex_occurrence[bv] = base
         if self.check:
             # before the unions merge it away: whether the final child holds
@@ -630,9 +614,7 @@ class _Run:
         root = rn
         for a, child, r in zip(path, children, roots):
             if child is None:
-                v = vertex[a]
-                vertex_blossom[v] = sid
-                vertex_occurrence[v] = a
+                vertex_occurrence[vertex[a]] = a
             if sz[root] < sz[r]:
                 par[root] = r
                 sz[r] += sz[root]
@@ -654,7 +636,7 @@ class _Run:
         par, find = self.store.parent, self.store.find
         top = root if par[root] == root else find(root)
         bottom = node if par[node] == node else find(node)
-        return Trail(alpha, x, tuple(reversed(self._path_down(top, bottom))), node, arc)
+        return Trail(alpha, x, tuple(self._path_down(top, bottom)), node, arc)
 
     # -- check-mode invariants -------------------------------------------
 

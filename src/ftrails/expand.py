@@ -77,13 +77,14 @@ class _Locator:
         # the router's tables, not the router: a cycle would keep each
         # phase's numbering alive until the cyclic collector ran
         self.pos, self.order, self.vertex_pos = router.pos, router.order, router.vertex_pos
+        tail = router.forest.tail
         self.atom_pos: dict[int, tuple[int, int]] = {}
         self.tail_roles: dict[int, list[int]] = {}
         self.seg_lo: list[int] = []  # position of each segment's first arc
         self.starts: list[int] = []
         self.slots: list[Optional[tuple[int, int]]] = []  # None for an atom
         for j, seg in enumerate(rec.segments):
-            self.tail_roles.setdefault(seg.start_node, []).append(j)
+            self.tail_roles.setdefault(tail[seg.arcs[0]], []).append(j)
             self.seg_lo.append(self.pos[seg.arcs[0]])
             for i, (arc, child) in enumerate(zip(seg.arcs, seg.children)):
                 self.starts.append(self.pos[arc])
@@ -234,7 +235,7 @@ class _Router:
                 pieces.append((False, (below, forest.tail[a], not forest.matched[a], None)))
             pieces.append((False, forest.edge[arcs[k - 1]]))
         if j:
-            pieces.append((False, (rec, seg.start_node, not forest.matched[arcs[0]], j)))
+            pieces.append((False, (rec, forest.tail[arcs[0]], not forest.matched[arcs[0]], j)))
         return pieces
 
     def _down_walk(self, rec: BlossomRecord, j: int, i: int) -> list[Piece]:

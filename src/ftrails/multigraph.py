@@ -9,8 +9,8 @@ equal.  A loop contributes 2 to the degree of its vertex.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, compress, starmap
-from operator import gt, xor
+from itertools import accumulate, starmap
+from operator import xor
 from typing import NamedTuple
 
 
@@ -133,8 +133,4 @@ def validate_matching(g: Multigraph, f: list[int], matching: set[int]) -> list[i
     that does not fit g and edge ids out of range raise ValueError.
     """
     check_inputs(g, f, matching)
-    deg = [0] * g.n
-    for u, v in map(g.edges.__getitem__, matching):
-        deg[u] += 1
-        deg[v] += 1
-    return list(compress(range(g.n), map(gt, deg, f)))
+    return [v for v, d in enumerate(count_matched(g, f, matching)[1]) if d < 0]

@@ -258,13 +258,56 @@ def test_check_catches_an_enlarge_test_without_a_blossom(monkeypatch):
     g = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
 
     def corrupt(run):
-        run.vertex_blossom[0] = 0
         run.vertex_occurrence[0] = 1
 
     with pytest.raises(
         CheckFailure, match="enlarge test fired at node 0 with no descendant of 0 in a blossom"
     ):
         corrupted_run(monkeypatch, g, [1, 1, 1], {1}, "search 0 root 0 node 0", corrupt)
+
+
+def test_bl_list_of_a_vertex_in_no_blossom_has_one_m_type(monkeypatch):
+    # the base test reads only the first entry of BL(x): at halt, every
+    # vertex in no blossom must hold entries of one M-type.  Each pop is
+    # told apart as a base test (x in no blossom) or an enlarge test, so
+    # both are known to fire.
+    runs = []
+    init = engine._Run.__init__
+
+    def capture(self, *args):
+        init(self, *args)
+        runs.append(self)
+
+    pops = {"base": 0, "enlarge": 0}
+
+    def sink(line):
+        if line.startswith("pop at "):
+            x = int(line.split()[2])
+            pops["base" if runs[-1].vertex_occurrence[x] < 0 else "enlarge"] += 1
+
+    monkeypatch.setattr(engine._Run, "__init__", capture)
+    rng = random.Random(15)
+    matched = loops = parallel = several = 0
+    for _ in range(300):
+        g, f = random_instance(rng, 8, 14, 3)
+        m = random_valid_matching(rng, g, f)
+        matched += bool(m)
+        loops += any(u == v for u, v in g.edges)
+        parallel += len(set(map(frozenset, g.edges))) < g.m
+        result = find_trails(g, f, m, check=True, trace=sink)
+        run = runs[-1]
+        for v in range(g.n):
+            if run.vertex_occurrence[v] >= 0:
+                continue
+            types = []
+            h = run.bl_first[v]
+            while h >= 0:
+                types.append(result.forest.matched[run.bl_entry_arc[h]])
+                h = run.bl_entry_next[h]
+            assert len(set(types)) <= 1, (g.edges, f, m, v, types)
+            several += len(types) > 1
+    assert matched and loops and parallel and several
+    assert pops["base"] and pops["enlarge"], pops
 
 
 def test_vertex_roots_multiple_searches():
