@@ -13,6 +13,12 @@ exactly one parent arc, and every arc has exactly one head node, so nodes
 and arcs share ids.  Arc a's head node is a; its tail node is another arc
 id (or -1 for a root).
 
+The union-find over nodes keeps each component's size in its parent array:
+a root's parent is minus the size of its component, any other node's
+parent is a node id.  The array starts as all -1, so a new arc is a
+singleton root without a write; a node is a root exactly when its parent
+is negative, and a root with parent -1 is a node in no blossom.
+
 A phase is one loop (_Run.run): it binds the hot arrays to locals once and
 runs every search of the phase over one explicit stack of invocations
 (recursion depth can reach the edge count).  An invocation started by a
@@ -21,6 +27,13 @@ the augment test is made in one place; blossom paths and trails come from
 one walk down the contracted forest (_Run._path_down), which reads the
 union-find parents and the records directly.  The hot path stays free of
 attribute lookups and string formatting unless tracing is on.
+
+A frame on that stack is (node, arc, x, amu, state): the invocation's node,
+the arc it entered by (node itself, or an arc inside node's blossom for an
+invocation a blossom step left pending), x the vertex of node, amu the
+M-type of arc, and the state it resumes in (START, GROW or BLOSSOM).  The
+running invocation's frame is held in locals, which a grow overwrites in
+place with the child's after pushing the parent.
 
 A grow step scans its vertex's segment of the graph's g.inc_flat, skipping
 edges of the other M-type, and reads the far end of the edge it grows as
@@ -55,6 +68,7 @@ a failure is raised when the run halts rather than at the arc.
 
 from __future__ import annotations
 
+import gc
 from array import array
 from dataclasses import dataclass
 from itertools import compress
@@ -158,32 +172,30 @@ class Forest:
         del self.vertex[count:]
 
 
-_ONE = array("i", [1])
-
-
 class BlossomStore:
     """Union-find over forest nodes plus the per-blossom records.
 
-    A component of more than one node is a blossom, and root_record holds
+    parent[x] is x's parent node, or minus the size of x's component when
+    x is a root: every node starts as a singleton root (-1), and union by
+    size merges the smaller component under the larger one's root.  A
+    component of more than one node is a blossom, and root_record holds
     its record under its union-find root.
     """
 
     def __init__(self, cap: int = 0) -> None:
-        self.parent = array("i", bytes(4 * cap))  # set when each arc is made
-        self.size = _ONE * cap
+        self.parent = array("i", b"\xff" * (4 * cap))
         self.root_record: dict[int, BlossomRecord] = {}
         self.base_record: dict[int, BlossomRecord] = {}
 
     def trim(self, count: int) -> None:
         del self.parent[count:]
-        del self.size[count:]
 
     def find(self, x: int) -> int:
         parent = self.parent
         root = x
-        while parent[root] != root:
+        while parent[root] >= 0:
             root = parent[root]
-        while parent[x] != root:
+        while x != root:
             parent[x], x = root, parent[x]
         return root
 
@@ -358,7 +370,6 @@ class _Run:
         ftail = forest.tail
         fvertex = forest.vertex
         par = store.parent
-        sz = store.size
         find = store.find
         root_record = store.root_record
         base_record = store.base_record
@@ -379,17 +390,20 @@ class _Run:
         e1_arc = self.e1_arc
         trails = self.trails
         trace = self.trace
+        tracing = trace is not None
         check = self.check
         e1_at = self.e1_at if check else None
         n_arcs = n_bl = 0
         sid = -1
-        # One stack of invocations.  A frame is (node, arc, x, amu, state),
-        # with x the vertex of node and amu the M-type of arc.  Every
-        # invocation starts in START, which holds the augment test, and then
-        # grows; a grow pushes the current invocation as GROW, and a blossom
-        # step pushes it as BLOSSOM under the invocations that the step
-        # leaves pending, the first of them on top.
+        s_grow, s_blossom, s_start = GROW, BLOSSOM, START
+        # One stack of invocations (frames as in the module docstring).
+        # Every invocation starts in START, which holds the augment test,
+        # and then grows; a grow pushes the current invocation as GROW, and
+        # a blossom step pushes it as BLOSSOM under the invocations that the
+        # step leaves pending, the first of them on top.
         frames: list = []
+        push = frames.append
+        pop = frames.pop
 
         for alpha in order:
             # an unsuccessful search ends with the root's return, which sets
@@ -402,25 +416,24 @@ class _Run:
                 fmatched[root] = 1
                 ftail[root] = -1
                 fvertex[root] = alpha
-                par[root] = root
-                if trace is not None:
+                if tracing:
                     trace(f"search {sid} root {alpha} node {root}")
                 node = arc = root
                 x = alpha
                 amu = 1
-                state = START
+                state = s_start
 
                 while True:
-                    if state != BLOSSOM:
+                    if state != s_blossom:
                         # the augment test: an unmatched arc to a deficient
                         # vertex, deficient twice over if it closes a trail at
                         # the root
-                        if state == START and not amu and deficiency[x] > (x == alpha):
+                        if state == s_start and not amu and deficiency[x] > (x == alpha):
                             deficiency[alpha] -= 1
                             deficiency[x] -= 1
                             self.n_arcs = n_arcs
                             trails.append(self._make_trail(alpha, root, x, node, arc))
-                            if trace is not None:
+                            if tracing:
                                 trace(f"augment at {x} node {node} arc {arc}")
                             frames.clear()
                             break
@@ -432,35 +445,32 @@ class _Run:
                             cur = curm
                         i = cur[x]
                         hi = inc_end[x]
-                        e = -1
                         while i < hi:
-                            c = inc[i]
+                            e = inc[i]
                             i += 1
-                            if not closed[c]:
-                                e = c
+                            if not closed[e]:
                                 break
-                        cur[x] = i
-                        if e >= 0:
-                            closed[e] = 1
-                            want = 1 - amu
-                            y = x ^ exor[e]
-                            child = n_arcs
-                            n_arcs += 1
-                            fedge[child] = e
-                            fmatched[child] = want
-                            ftail[child] = node
-                            fvertex[child] = y
-                            par[child] = child
-                            if trace is not None:
-                                trace(f"grow {x}->{y} edge {e} arc {child}")
-                            frames.append((node, arc, x, amu, GROW))
-                            node = child
-                            arc = child
-                            x = y
-                            amu = want
-                            state = START
+                        else:
+                            cur[x] = i
+                            state = s_blossom
                             continue
-                        state = BLOSSOM
+                        # grow e: the child's invocation replaces this one,
+                        # which is pushed as GROW
+                        cur[x] = i
+                        closed[e] = 1
+                        push((node, arc, x, amu, s_grow))
+                        ftail[n_arcs] = node
+                        node = arc = n_arcs
+                        n_arcs += 1
+                        x ^= exor[e]
+                        amu ^= 1
+                        fedge[node] = e
+                        fmatched[node] = amu
+                        fvertex[node] = x
+                        if tracing:
+                            trace(f"grow {x ^ exor[e]}->{x} edge {e} arc {node}")
+                        state = s_start
+                        continue
 
                     # state == BLOSSOM
                     o = vertex_occurrence[x]
@@ -477,8 +487,8 @@ class _Run:
                         # node with a larger id sits inside its call subtree,
                         # so an occurrence outside the blossom is an ancestor
                         # of the blossom's base exactly when its id is smaller.
-                        if par[node] == node and sz[node] == 1:
-                            r = o if par[o] == o else find(o)
+                        if par[node] == -1:  # node is in no blossom
+                            r = o if par[o] < 0 else find(o)
                             rec = root_record.get(r)
                             if node >= (r if rec is None else rec.base_node):
                                 h = -1
@@ -497,52 +507,51 @@ class _Run:
                             bl_last[x] = -1
                         popped_node = bl_entry_node[h]
                         popped_arc = bl_entry_arc[h]
-                        if trace is not None:
+                        if tracing:
                             trace(f"pop at {x} entry node {popped_node} arc {popped_arc}")
                         if check and popped_arc < root:  # arcs are numbered in creation order
                             self.n_arcs = n_arcs
                             self._fail(f"popped BL entry {popped_arc} from an earlier search")
-                        rn = node if par[node] == node else find(node)
-                        rm = popped_node if par[popped_node] == popped_node else find(popped_node)
+                        rn = node if par[node] < 0 else find(node)
+                        rm = popped_node if par[popped_node] < 0 else find(popped_node)
                         if rn == rm:
-                            if trace is not None:
+                            if tracing:
                                 trace("blossom noop")
                             continue
                         self.n_arcs = n_arcs
-                        frames.append((node, arc, x, amu, BLOSSOM))
+                        push((node, arc, x, amu, s_blossom))
                         frames += self._blossom_step(node, rn, rm)
-                        node, arc, x, amu, state = frames.pop()
+                        node, arc, x, amu, state = pop()
                         continue
 
                     # nothing to pop: the invocation returns
-                    idx = n_bl
-                    n_bl += 1
-                    bl_entry_node[idx] = node
-                    bl_entry_arc[idx] = arc
+                    bl_entry_node[n_bl] = node
+                    bl_entry_arc[n_bl] = arc
                     t = bl_last[x]
                     if t >= 0:
-                        bl_entry_next[t] = idx
+                        bl_entry_next[t] = n_bl
                     else:
-                        bl_first[x] = idx
-                    bl_last[x] = idx
+                        bl_first[x] = n_bl
+                    bl_last[x] = n_bl
+                    n_bl += 1
                     if e1_arc[x] < 0:
                         e1_arc[x] = arc
                         if check:
                             e1_at[x] = n_arcs
-                    if arc == node and o >= root:
+                    if o >= root and arc == node:
                         # head-flavor return: may complete a blossom based
                         # here; the blossom step that made it flagged x in
                         # this search
                         rec = base_record.get(node)
                         if rec is not None:
                             rec.complete = True
-                            if trace is not None:
+                            if tracing:
                                 trace(f"complete blossom base {node}")
-                    if trace is not None:
+                    if tracing:
                         trace(f"return node {node} arc {arc}")
                     if not frames:
                         break
-                    node, arc, x, amu, state = frames.pop()
+                    node, arc, x, amu, state = pop()
 
         self.n_arcs = n_arcs
         self.search_id = sid
@@ -572,7 +581,7 @@ class _Run:
                     f"component {bottom} does not descend from component {top}"
                     + (("\n" + self._dump()) if self.check else "")
                 )
-            cur = t if par[t] == t else store.find(t)
+            cur = t if par[t] < 0 else store.find(t)
         arcs.reverse()
         return arcs
 
@@ -585,10 +594,10 @@ class _Run:
         forest = self.forest
         store = self.store
         root_record = store.root_record
-        par, sz, find = store.parent, store.size, store.find
+        par, find = store.parent, store.find
         path = self._path_down(rn, rm)  # property (*): rm descends from rn
         # a base arc is its own root unless its component is a blossom
-        roots = [a if par[a] == a else find(a) for a in path]
+        roots = [a if par[a] < 0 else find(a) for a in path]
 
         rec = root_record.pop(rn, None)
         children = [root_record.pop(r, None) for r in roots]
@@ -601,7 +610,8 @@ class _Run:
 
         # flag the base and the new atoms by their occurrences, and union
         # the path's components (distinct roots, each merged once) into
-        # rn's by size
+        # rn's by size; a root's parent is minus its size, so the root with
+        # the larger parent holds the smaller component
         vertex_occurrence = self.vertex_occurrence
         base = rec.base_node
         bv = vertex[base]
@@ -615,13 +625,13 @@ class _Run:
         for a, child, r in zip(path, children, roots):
             if child is None:
                 vertex_occurrence[vertex[a]] = a
-            if sz[root] < sz[r]:
+            if par[root] > par[r]:
+                par[r] += par[root]
                 par[root] = r
-                sz[r] += sz[root]
                 root = r
             else:
+                par[root] += par[r]
                 par[r] = root
-                sz[root] += sz[r]
         root_record[root] = rec
 
         if self.trace is not None:
@@ -634,8 +644,8 @@ class _Run:
 
     def _make_trail(self, alpha: int, root: int, x: int, node: int, arc: int) -> Trail:
         par, find = self.store.parent, self.store.find
-        top = root if par[root] == root else find(root)
-        bottom = node if par[node] == node else find(node)
+        top = root if par[root] < 0 else find(root)
+        bottom = node if par[node] < 0 else find(node)
         return Trail(alpha, x, tuple(self._path_down(top, bottom)), node, arc)
 
     # -- check-mode invariants -------------------------------------------
@@ -756,7 +766,8 @@ def find_trails(
     several searches while it stays deficient and none of its invocations
     has returned).  The matching itself is not modified: trails come back
     contracted in the result, and per-vertex deficiencies are maintained
-    as if the trails had been rematched.
+    as if the trails had been rematched.  The cycle collector is paused
+    while the search runs and restored when it ends.
 
     Parameters:
         g: the multigraph.
@@ -799,7 +810,17 @@ def find_trails(
             if not 0 <= ids[-1] < g.n:
                 raise ValueError(f"order contains unknown vertex id {v}")
         order = ids
-    run.run(order)
+    # The run makes no reference cycles, so the cycle collector finds
+    # nothing in it.  Left on, it walks the growing list of trails in full
+    # collections: a sixth of a phase at m = 1e6 and none at 1e5, so the
+    # cost per arc grew with m.  A caller's disabled collector stays so.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        run.run(order)
+    finally:
+        if collecting:
+            gc.enable()
     if check:
         run.check_final()
     n_arcs = run.n_arcs

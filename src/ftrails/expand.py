@@ -283,9 +283,10 @@ def expand_trail(result: BlockingResult, trail: Trail, router: _Router) -> GTrai
     """Expand a contracted trail into an alternating trail of graph edges.
 
     Reads the union-find parents and the root records directly.  A node is
-    in a blossom when its parent is another node or it roots a record; an
-    arc whose tail is in none only adds its edge, and find runs only for a
-    tail that is not a root itself.
+    in a blossom when its parent is not -1 (another node, or minus the size
+    of a component of more than one node); an arc whose tail is in none
+    only adds its edge, and find runs only for a tail that is not a root
+    itself.
     """
     forest = result.forest
     tail, edge, matched = forest.tail, forest.edge, forest.matched
@@ -295,7 +296,7 @@ def expand_trail(result: BlockingResult, trail: Trail, router: _Router) -> GTrai
     edges: list[int] = []
     for a in trail.arcs:
         t = tail[a]
-        if par[t] != t or t in root_record:
+        if par[t] != -1:
             rec = root_record.get(find(t))
             if rec is not None:
                 edges += router.route(rec, t, not matched[a], reverse=True)
@@ -304,7 +305,7 @@ def expand_trail(result: BlockingResult, trail: Trail, router: _Router) -> GTrai
     final = trail.final_node
     if matched[trail.final_arc]:
         raise StructuralError("trail terminates on a matched arc")
-    rec = root_record.get(final if par[final] == final else find(final))
+    rec = root_record.get(final if par[final] < 0 else find(final))
     if rec is not None:
         edges += router.route(rec, final, False, reverse=True)
     elif final != (trail.arcs[-1] if trail.arcs else -1):

@@ -55,11 +55,6 @@ class Multigraph:
                 slot[v] += 1
         self.inc_flat = flat
 
-    def other_end(self, e: int, v: int) -> int:
-        """The endpoint of edge e opposite v (v itself for a loop)."""
-        a, b = self.edges[e]
-        return b if a == v else a
-
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, m={self.m})"
 

@@ -24,6 +24,15 @@ def random_instance(rng: random.Random, n_max: int, m_max: int, f_max: int):
     return g, f
 
 
+def triangle_chain(k: int) -> Multigraph:
+    """k triangles, consecutive ones sharing a vertex; n = 2k + 1."""
+    edges = []
+    for i in range(k):
+        a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
+        edges += [(a, b), (b, c), (c, a)]
+    return Multigraph(2 * k + 1, edges)
+
+
 def random_valid_matching(rng: random.Random, g: Multigraph, f: list[int]) -> set[int]:
     matching: set[int] = set()
     for e in rng.sample(range(g.m), g.m):
@@ -229,7 +238,7 @@ def enumerate_augmenting_trails(g, f, matching, max_len=12, contracted=None, eta
                     continue
             elif em == last_matched:
                 continue
-            w = g.other_end(e, v)
+            w = v ^ g.exor[e]
             if contracted is not None and w == contracted:
                 if v == contracted or any(contracted in g.edges[p] for p in path):
                     continue  # a second visit of the blossom
@@ -249,7 +258,7 @@ def enumerate_augmenting_trails(g, f, matching, max_len=12, contracted=None, eta
                 continue
             used[e] = True
             path.append(e)
-            w = g.other_end(e, alpha)
+            w = alpha ^ g.exor[e]
             if ends_ok(alpha, w):
                 emit(alpha, w)
             extend(alpha, w, e in matching)

@@ -116,7 +116,7 @@ def has_augmenting_trail(
             if used[e] or (e in matching) == last_matched:
                 continue
             used[e] = True
-            if extend(alpha, g.other_end(e, v), e in matching, length + 1):
+            if extend(alpha, v ^ g.exor[e], e in matching, length + 1):
                 used[e] = False
                 return True
             used[e] = False
@@ -127,7 +127,7 @@ def has_augmenting_trail(
             if e in matching:
                 continue
             used[e] = True
-            ok = extend(alpha, g.other_end(e, alpha), False, 1)
+            ok = extend(alpha, alpha ^ g.exor[e], False, 1)
             used[e] = False
             if ok:
                 return True
@@ -173,7 +173,7 @@ def brute_alternating_trail(
                 continue
             used.add(e)
             path.append(e)
-            if extend(g.other_end(e, v), em):
+            if extend(v ^ g.exor[e], em):
                 return True
             path.pop()
             used.remove(e)

@@ -7,7 +7,7 @@ from ftrails.driver import max_f_matching
 from ftrails.engine import find_trails
 from ftrails.expand import expand_all, rematch
 from ftrails.multigraph import Multigraph
-from helpers import random_instance, random_valid_matching, run_phases
+from helpers import random_instance, random_valid_matching, run_phases, triangle_chain
 from oracle import brute_max
 
 PETERSEN = [
@@ -81,15 +81,6 @@ def test_solve_matches_set_path_phases():
 
 # Blossoms nested thousands of levels deep: every blossom-tree walk must
 # keep its own stack rather than recurse once per level.
-
-
-def triangle_chain(k):
-    """k triangles, consecutive ones sharing a vertex; n = 2k + 1."""
-    edges = []
-    for i in range(k):
-        a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
-        edges += [(a, b), (b, c), (c, a)]
-    return Multigraph(2 * k + 1, edges)
 
 
 def test_deep_triangle_chain():

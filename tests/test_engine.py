@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import random
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -9,7 +11,13 @@ from ftrails import engine
 from ftrails.engine import ARTIFICIAL, CheckFailure, find_trails
 from ftrails.expand import expand_all, rematch
 from ftrails.multigraph import Multigraph, match_state
-from helpers import deep_nesting_phases, random_instance, random_valid_matching, run_phases
+from helpers import (
+    deep_nesting_phases,
+    random_instance,
+    random_valid_matching,
+    run_phases,
+    triangle_chain,
+)
 
 
 def traced(g, f, matching, **kw):
@@ -308,6 +316,57 @@ def test_bl_list_of_a_vertex_in_no_blossom_has_one_m_type(monkeypatch):
             several += len(types) > 1
     assert matched and loops and parallel and several
     assert pops["base"] and pops["enlarge"], pops
+
+
+def test_union_find_sizes_live_in_the_parent_array():
+    # a root's parent is minus its component's size, and the components of
+    # more than one node are exactly the blossoms, each under its root
+    def check(result):
+        store = result.blossoms
+        par = store.parent
+        roots = Counter(store.find(a) for a in range(len(result.forest.edge)))
+        for r, size in roots.items():
+            assert par[r] < 0 and -par[r] == size, (r, par[r], size)
+        assert set(store.root_record) == {r for r, size in roots.items() if size > 1}
+        return max(roots.values(), default=0)
+
+    rng = random.Random(16)
+    largest = {}
+    for check_mode in (False, True):
+        for _ in range(150):
+            g, f = random_instance(rng, 8, 14, 3)
+            for result in run_phases(g, f, random_valid_matching(rng, g, f), check_mode)[1]:
+                largest[check_mode] = max(largest.get(check_mode, 0), check(result))
+        for k in (1, 2, 5, 64, 1025):
+            g = triangle_chain(k)
+            results = run_phases(g, [1] * g.n, set(), check_mode)[1]
+            # the last phase nests k blossoms in one search, and the
+            # outermost holds its whole forest: 3k arcs and the root
+            assert max(map(check, results)) == 3 * k + 1
+            assert len(results[-1].blossoms.base_record) == k
+    assert min(largest.values()) > 2, largest
+
+
+def test_find_trails_restores_the_cycle_collector(monkeypatch):
+    # paused during the run, restored after it, also when check mode raises;
+    # a collector the caller disabled stays disabled
+    g = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
+    seen = []
+    find_trails(g, [1, 1, 1], {1}, trace=lambda line: seen.append(gc.isenabled()))
+    assert seen and not any(seen) and gc.isenabled()
+
+    def corrupt(run):
+        run.vertex_occurrence[0] = 1
+
+    with pytest.raises(CheckFailure):
+        corrupted_run(monkeypatch, g, [1, 1, 1], {1}, "search 0 root 0 node 0", corrupt)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        find_trails(g, [1, 1, 1], {1})
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_vertex_roots_multiple_searches():

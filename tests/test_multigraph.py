@@ -57,8 +57,8 @@ def test_incidence_lists_loop_once():
     assert list(g.inc_off) == [0, 2, 3]
     assert list(g.inc_flat[g.inc_off[0] : g.inc_off[1]]) == [0, 1]
     assert list(g.inc_flat[g.inc_off[1] : g.inc_off[2]]) == [1]
-    assert g.other_end(0, 0) == 0
-    assert g.other_end(1, 0) == 1
+    assert g.edges == [(0, 0), (0, 1)]
+    assert 0 ^ g.exor[0] == 0 and 0 ^ g.exor[1] == 1
 
 
 def test_handshake_identity_random():
@@ -77,10 +77,9 @@ def test_exor_gives_the_far_end():
     # loops (0, 2), parallel pairs (1, 3) and (4, 5), one reversed (5)
     edges = [(0, 0), (0, 1), (2, 2), (0, 1), (1, 3), (3, 1), (2, 3)]
     g = Multigraph(4, edges)
-    assert len(g.exor) == g.m
-    for e, (u, v) in enumerate(edges):
-        for end in (u, v):
-            assert end ^ g.exor[e] == g.other_end(e, end)
+    assert len(g.exor) == g.m and g.edges == edges
+    for e, (u, v) in enumerate(g.edges):
+        assert u ^ g.exor[e] == v and v ^ g.exor[e] == u
     assert g.exor[0] == g.exor[2] == 0
 
 
