@@ -161,6 +161,8 @@ def cmd_certify(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
     rng = random.Random(args.seed)
     n, m = args.n, args.m
+    if m < 0:
+        raise ValueError("edge count must be non-negative")
     if n <= 0 and m > 0:
         raise ValueError("edges need at least one vertex")
     edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]

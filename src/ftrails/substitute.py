@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .expand import GTrail
-from .multigraph import Multigraph, validate_matching
+from .multigraph import Multigraph, check_inputs, validate_matching
 
 LIGHT = "light"
 HEAVY = "heavy"
@@ -39,7 +39,6 @@ class SubstituteMap:
     shadow: list[int]  # per blossom: the new vertex b
     edge_map: dict[int, int]  # original edge id -> substituted edge id
     new_edges: list[int]  # per blossom: the beta-b edge id in the new graph
-    owner: dict[int, int]  # original vertex -> blossom index
 
 
 @dataclass
@@ -72,22 +71,29 @@ def build_substitute(
     """Replace each listed blossom by its two-vertex substitute.
 
     Returns the new graph, bounds, matching and the back-map.  Raises
-    ValueError when the blossoms overlap, a base edge is inconsistent, or
-    the rewired matching violates the substitute's unit bounds (the
-    incident edge pattern does not fit the blossom's kind).
+    ValueError when f or the matching does not fit g (as check_inputs
+    does), a blossom names a vertex or base edge g does not have, the
+    blossoms overlap, a base edge is inconsistent, or the rewired matching
+    violates the substitute's unit bounds (the incident edge pattern does
+    not fit the blossom's kind).
     """
-    owner: dict[int, int] = {}
+    check_inputs(g, f, matching)
+    owner: dict[int, int] = {}  # blossom vertex -> blossom index
     for bi, spec in enumerate(blossoms):
         if spec.kind not in (LIGHT, HEAVY):
             raise ValueError(f"unknown blossom kind {spec.kind!r}")
         if spec.base not in spec.vertices:
             raise ValueError(f"blossom {bi} base {spec.base} outside its vertex set")
         for v in spec.vertices:
+            if not 0 <= v < g.n:
+                raise ValueError(f"blossom {bi} contains unknown vertex {v}")
             if v in owner:
                 raise ValueError(f"blossoms {owner[v]} and {bi} share vertex {v}")
             owner[v] = bi
     for bi, spec in enumerate(blossoms):
         if spec.base_edge is not None:
+            if not 0 <= spec.base_edge < g.m:
+                raise ValueError(f"blossom {bi} has unknown base edge id {spec.base_edge}")
             u, v = g.edges[spec.base_edge]
             inside = (u in spec.vertices) + (v in spec.vertices)
             if inside != 1 or spec.base not in (u, v):
@@ -98,15 +104,15 @@ def build_substitute(
     shadow = [g.n + bi for bi in range(len(blossoms))]
 
     def map_end(v: int, e: int, e_matched: bool) -> int:
+        # a non-base edge at a blossom vertex lands on the shadow exactly
+        # when it is matched at a light blossom or unmatched at a heavy one
         bi = owner.get(v)
         if bi is None:
             return v
         spec = blossoms[bi]
-        if e == spec.base_edge:
-            return spec.base
-        if spec.kind == LIGHT:
-            return shadow[bi] if e_matched else spec.base
-        return spec.base if e_matched else shadow[bi]
+        if e != spec.base_edge and e_matched == (spec.kind == LIGHT):
+            return shadow[bi]
+        return spec.base
 
     new_edges_list: list[tuple[int, int]] = []
     new_matching: set[int] = set()
@@ -144,14 +150,39 @@ def build_substitute(
             "incident edge pattern inconsistent with blossom kinds: "
             f"substituted matching overloads vertices {bad}"
         )
-    smap = SubstituteMap(
-        specs=list(blossoms),
-        shadow=shadow,
-        edge_map=edge_map,
-        new_edges=beta_b,
-        owner=owner,
-    )
+    smap = SubstituteMap(specs=list(blossoms), shadow=shadow, edge_map=edge_map, new_edges=beta_b)
     return g_new, f_new, new_matching, smap
+
+
+def _crossing(
+    bi: int,
+    run: list[tuple[int, int, int]],
+    smap: SubstituteMap,
+    original_of: dict[int, int],
+    beta_b: set[int],
+) -> Crossing:
+    """The Crossing of a run, the consecutive steps of a trail through
+    blossom bi's gadget: its base edge, if used, and the one other incident
+    edge.  Raises ValueError for a second non-base edge, and for a run
+    that passes the base twice off the base edge of a blossom with one."""
+    spec = smap.specs[bi]
+    eta: Optional[int] = None
+    side: Optional[int] = None
+    base_uses = 0
+    for ne, u, v in run:
+        base_uses += spec.base in (u, v)
+        if ne in beta_b:
+            continue
+        e = original_of.get(ne)
+        if e == spec.base_edge:
+            eta = e
+        elif side is None:
+            side = e
+        else:
+            raise ValueError(f"trail uses two non-base edges {side} and {e} of blossom {bi}")
+    if base_uses >= 2 and eta is None and spec.base_edge is not None:
+        raise ValueError(f"trail passes the base of blossom {bi} off its base edge")
+    return Crossing(blossom=bi, entry_edge=eta, exit_edge=side)
 
 
 def pull_back_trail(trail: GTrail, smap: SubstituteMap) -> PulledBackTrail:
@@ -163,6 +194,11 @@ def pull_back_trail(trail: GTrail, smap: SubstituteMap) -> PulledBackTrail:
     crossed blossom is not rematerialized here: its rematching belongs to
     the owner of the blossom bodies.
 
+    One pass over the steps: a step that no longer touches the open run's
+    gadget closes the run, and a step that touches a gadget opens a run
+    there or extends the open one.  A step from one gadget straight into
+    another extends the first run, closes it and opens the second.
+
     Raises ValueError when the trail violates the crossing discipline
     (visiting a gadget twice, using two non-base incident edges, or
     passing the base vertex off the base edge); a valid alternating trail
@@ -172,83 +208,35 @@ def pull_back_trail(trail: GTrail, smap: SubstituteMap) -> PulledBackTrail:
     for bi, spec in enumerate(smap.specs):
         gadget_at[spec.base] = bi
         gadget_at[smap.shadow[bi]] = bi
-    bb_of = {ne: bi for bi, ne in enumerate(smap.new_edges)}
     original_of = {ne: e for e, ne in smap.edge_map.items()}
+    beta_b = set(smap.new_edges)
 
     out = PulledBackTrail(edges=[])
     seen: set[int] = set()
-    active: Optional[int] = None
-    run: list[tuple[int, int, int]] = []
-
-    def open_run(bi: int) -> None:
-        nonlocal active
-        if bi in seen:
-            raise ValueError(f"trail visits blossom {bi} twice")
-        seen.add(bi)
-        active = bi
-
-    def flush() -> None:
-        nonlocal active
-        bi = active
-        spec = smap.specs[bi]
-        eta: Optional[int] = None
-        side: Optional[int] = None
-        base_uses = 0
-        for ne, u, v in run:
-            if u == spec.base or v == spec.base:
-                base_uses += 1
-            if ne in bb_of:
-                continue
-            e = original_of.get(ne)
-            if e == spec.base_edge:
-                eta = e
-            elif side is None:
-                side = e
-            else:
-                raise ValueError(
-                    f"trail uses two non-base edges {side} and {e} of blossom {bi}"
-                )
-        if base_uses >= 2 and eta is None and spec.base_edge is not None:
-            raise ValueError(f"trail passes the base of blossom {bi} off its base edge")
-        out.crossings.append(Crossing(blossom=bi, entry_edge=eta, exit_edge=side))
-        out.edges.append(None)
-        run.clear()
-        active = None
-
+    run: list[tuple[int, int, int]] = []  # the open run: steps through gadget open_bi
+    open_bi = -1
     for step in trail.steps:
         ne, u, v = step
-        touched: list[int] = []
-        for w in (u, v):
-            bi = gadget_at.get(w)
-            if bi is not None and bi not in touched:
-                touched.append(bi)
-        if not touched:
-            if active is not None:
-                flush()
-            e = original_of.get(ne)
-            if e is None:
-                raise ValueError(f"substituted edge {ne} has no original counterpart")
-            out.edges.append(e)
-            continue
-        if active is not None:
-            if active in touched:
-                run.append(step)
-                rest = [bi for bi in touched if bi != active]
-                if rest:
-                    flush()
-                    open_run(rest[0])
-                    run.append(step)
+        ends = dict.fromkeys((gadget_at.get(u), gadget_at.get(v)))
+        # the gadgets the step touches, u's first, or None for a step away from all of them
+        for bi in [b for b in ends if b is not None] or [None]:
+            if run and bi != open_bi:
+                out.crossings.append(_crossing(open_bi, run, smap, original_of, beta_b))
+                out.edges.append(None)
+                run = []
+            if bi is None:
+                e = original_of.get(ne)
+                if e is None:
+                    raise ValueError(f"substituted edge {ne} has no original counterpart")
+                out.edges.append(e)
                 continue
-            flush()
-        # traverse u before v: close the u-side gadget first
-        if len(touched) == 2 and gadget_at.get(u) == touched[1]:
-            touched.reverse()
-        open_run(touched[0])
-        run.append(step)
-        if len(touched) == 2:
-            flush()
-            open_run(touched[1])
+            if not run:
+                if bi in seen:
+                    raise ValueError(f"trail visits blossom {bi} twice")
+                seen.add(bi)
+                open_bi = bi
             run.append(step)
-    if active is not None:
-        flush()
+    if run:
+        out.crossings.append(_crossing(open_bi, run, smap, original_of, beta_b))
+        out.edges.append(None)
     return out

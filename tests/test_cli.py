@@ -157,6 +157,12 @@ def test_gen_edgeless():
     assert inst.g.n == 4 and inst.g.m == 0
 
 
+def test_gen_negative_edge_count_exits_one_with_one_line(capsys):
+    code, out = run_cli(["gen", "5", "-3", "2", "1"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: edge count must be non-negative\n"
+
+
 def test_gen_round_trips_and_solves(tmp_path):
     code, out = run_cli(["gen", "6", "10", "3", "11"])
     inst = parse_instance(out)

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import pytest
 
 from ftrails.expand import GTrail
@@ -85,6 +88,27 @@ def test_overlapping_blossoms_rejected():
         build_substitute(g, [1] * 4, set(), specs)
 
 
+@pytest.mark.parametrize(
+    "f, matching, vertices, base_edge, message",
+    [
+        (None, {1, 3, 4, 99}, None, 3, "matching contains unknown edge id 99"),
+        (None, {1, 3, 4, -1}, None, 3, "matching contains unknown edge id -1"),
+        ([1, 2, 1, 1], None, None, 3, "degree bound vector has length 4, expected 5"),
+        (None, None, {0, 1, 2, 5}, 3, "blossom 0 contains unknown vertex 5"),
+        (None, None, {0, 1, 2, -1}, 3, "blossom 0 contains unknown vertex -1"),
+        (None, None, None, 6, "blossom 0 has unknown base edge id 6"),
+        (None, None, None, -1, "blossom 0 has unknown base edge id -1"),
+    ],
+    ids=["matching-id-beyond-m", "negative-matching-id", "short-bound-vector",
+         "vertex-beyond-n", "negative-vertex", "base-edge-beyond-m", "negative-base-edge"],
+)
+def test_build_rejects_input_outside_the_graph(f, matching, vertices, base_edge, message):
+    g, f0, m0, spec = light_instance()
+    spec = BlossomSpec(vertices=vertices or spec.vertices, base=0, kind=LIGHT, base_edge=base_edge)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_substitute(g, f or f0, m0 if matching is None else matching, [spec])
+
+
 def test_pull_back_identity_away_from_gadget():
     g, f, m, spec = light_instance()
     g2, _f2, _m2, smap = build_substitute(g, f, m, [spec])
@@ -127,3 +151,65 @@ def test_crossing_patterns_smoke(kind, with_eta):
         pytest.skip("config invalid")
     lhs, rhs = crossing_pattern_sets(g, f, m, spec, contracted)
     assert lhs == rhs
+
+
+# the incident side edges criterion 8 draws its gadget configurations from
+SIDE_POOL = [(1, 4, True), (2, 4, True), (1, 4, False), (2, 4, False), (0, 4, False), (1, 3, False)]
+
+
+def walks(g, start, limit):
+    """(end, edges) of every walk of 1..limit distinct edges from start,
+    in edge-id order."""
+    path = []
+
+    def go(v):
+        if path:
+            yield v, tuple(path)
+        if len(path) == limit:
+            return
+        for e, (a, b) in enumerate(g.edges):
+            if e not in path and v in (a, b):
+                path.append(e)
+                yield from go(a ^ b ^ v)
+                path.pop()
+
+    yield from go(start)
+
+
+def test_substitute_outcomes_pinned():
+    # sha256 of build_substitute's output or error text on every gadget
+    # configuration criterion 8 builds, and of pull_back_trail's edges and
+    # crossings or error text on every walk of up to 6 distinct edges from
+    # every vertex of each substituted graph, valid trail or not (31,516
+    # walks), recorded before pull_back_trail became one flat loop
+    digest = hashlib.sha256()
+    n_walks = 0
+    for kind in (LIGHT, HEAVY):
+        for with_eta in (True, False):
+            for bits in range(1 << len(SIDE_POOL)):
+                sides = [s for i, s in enumerate(SIDE_POOL) if bits >> i & 1]
+                try:
+                    g, f, m, spec, _contracted = blossom_gadget_config(kind, with_eta, sides)
+                except AssertionError:
+                    digest.update(b"config rejected\n")
+                    continue
+                try:
+                    g2, f2, m2, smap = build_substitute(g, f, m, [spec])
+                except ValueError as ex:
+                    digest.update(f"build: {ex}\n".encode())
+                    continue
+                built = (g2.n, g2.edges, f2, sorted(m2), smap.shadow,
+                         sorted(smap.edge_map.items()), smap.new_edges)
+                digest.update(f"{built}\n".encode())
+                for v in range(g2.n):
+                    for end, edges in walks(g2, v, 6):
+                        n_walks += 1
+                        try:
+                            pulled = pull_back_trail(GTrail(v, end, edges, g2), smap)
+                            out = (pulled.edges, [(c.blossom, c.entry_edge, c.exit_edge)
+                                                  for c in pulled.crossings])
+                        except ValueError as ex:
+                            out = str(ex)
+                        digest.update(f"{out}\n".encode())
+    assert n_walks == 31516
+    assert digest.hexdigest() == "b406be469b582c0bcb295d1b7e2316513697ef53b1f632fe5dfdb08cd632dc35"
