@@ -165,8 +165,10 @@ def cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
         raise ValueError("edge count must be non-negative")
     if n <= 0 and m > 0:
         raise ValueError("edges need at least one vertex")
+    if not 1 <= args.fmax <= F_MAX:
+        raise ValueError(f"largest degree bound must be in 1..{F_MAX}")
     edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
-    f = [rng.randint(1, max(1, args.fmax)) for _ in range(n)]
+    f = [rng.randint(1, args.fmax) for _ in range(n)]
     inst = Instance(Multigraph(n, edges), f, set())
     out.write(emit_instance(inst))
     return 0

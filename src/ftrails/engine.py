@@ -28,12 +28,18 @@ one walk down the contracted forest (_Run._path_down), which reads the
 union-find parents and the records directly.  The hot path stays free of
 attribute lookups and string formatting unless tracing is on.
 
-A frame on that stack is (node, arc, x, amu, state): the invocation's node,
-the arc it entered by (node itself, or an arc inside node's blossom for an
-invocation a blossom step left pending), x the vertex of node, amu the
-M-type of arc, and the state it resumes in (START, GROW or BLOSSOM).  The
-running invocation's frame is held in locals, which a grow overwrites in
-place with the child's after pushing the parent.
+A frame on that stack holds four values, (node, arc, x, amu): the
+invocation's node, the arc it entered by (node itself, or an arc inside
+node's blossom for an invocation a blossom step left pending), x the vertex
+of node and amu the M-type of arc.  The running invocation's frame is held
+in locals.  A grow and a blossom step both push it: a grow then runs the
+child, and a blossom step runs the first invocation it left pending.  Any
+popped invocation restarts at the augment test, whatever it was doing when
+it was pushed, and two invariants make that safe.  Deficiencies change only
+at the augment, which ends the search, so an invocation that failed the
+test fails it again.  Scan cursors and closed flags only advance, so its
+scan goes on where it stopped, and a scan that had run out finds nothing
+and goes straight on to the blossom tests.
 
 A grow step scans its vertex's segment of the graph's g.inc_flat, skipping
 edges of the other M-type, and reads the far end of the edge it grows as
@@ -262,8 +268,6 @@ class BlockingResult:
     expanded: Optional[list] = None  # the expanded trails, once expand_all ran
 
 
-GROW, BLOSSOM, START = 0, 1, 2
-
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
@@ -395,12 +399,11 @@ class _Run:
         e1_at = self.e1_at if check else None
         n_arcs = n_bl = 0
         sid = -1
-        s_grow, s_blossom, s_start = GROW, BLOSSOM, START
-        # One stack of invocations (frames as in the module docstring).
-        # Every invocation starts in START, which holds the augment test,
-        # and then grows; a grow pushes the current invocation as GROW, and
-        # a blossom step pushes it as BLOSSOM under the invocations that the
-        # step leaves pending, the first of them on top.
+        # One stack of invocations (frames as in the module docstring).  A
+        # grow pushes the running invocation and runs its child; a blossom
+        # step pushes it under the invocations that the step leaves pending,
+        # the first of them on top.  Every popped invocation restarts at
+        # the augment test, which fails again for one that ran before.
         frames: list = []
         push = frames.append
         pop = frames.pop
@@ -421,137 +424,131 @@ class _Run:
                 node = arc = root
                 x = alpha
                 amu = 1
-                state = s_start
 
                 while True:
-                    if state != s_blossom:
-                        # the augment test: an unmatched arc to a deficient
-                        # vertex, deficient twice over if it closes a trail at
-                        # the root
-                        if state == s_start and not amu and deficiency[x] > (x == alpha):
-                            deficiency[alpha] -= 1
-                            deficiency[x] -= 1
-                            self.n_arcs = n_arcs
-                            trails.append(self._make_trail(alpha, root, x, node, arc))
-                            if tracing:
-                                trace(f"augment at {x} node {node} arc {arc}")
-                            frames.clear()
-                            break
-                        if amu:
-                            closed = closed_u
-                            cur = curu
-                        else:
-                            closed = closed_m
-                            cur = curm
-                        i = cur[x]
-                        hi = inc_end[x]
-                        while i < hi:
-                            e = inc[i]
-                            i += 1
-                            if not closed[e]:
-                                break
-                        else:
-                            cur[x] = i
-                            state = s_blossom
-                            continue
-                        # grow e: the child's invocation replaces this one,
-                        # which is pushed as GROW
-                        cur[x] = i
-                        closed[e] = 1
-                        push((node, arc, x, amu, s_grow))
-                        ftail[n_arcs] = node
-                        node = arc = n_arcs
-                        n_arcs += 1
-                        x ^= exor[e]
-                        amu ^= 1
-                        fedge[node] = e
-                        fmatched[node] = amu
-                        fvertex[node] = x
+                    # the augment test: an unmatched arc to a deficient
+                    # vertex, deficient twice over if it closes a trail at the
+                    # root
+                    if not amu and deficiency[x] > (x == alpha):
+                        deficiency[alpha] -= 1
+                        deficiency[x] -= 1
+                        self.n_arcs = n_arcs
+                        trails.append(self._make_trail(alpha, root, x, node, arc))
                         if tracing:
-                            trace(f"grow {x ^ exor[e]}->{x} edge {e} arc {node}")
-                        state = s_start
-                        continue
-
-                    # state == BLOSSOM
-                    o = vertex_occurrence[x]
-                    h = bl_first[x]
-                    if o < 0:
-                        # blossom base test: x occurs in no blossom, so its
-                        # entries share one M-type; pop one of the other type
-                        if h >= 0 and fmatched[bl_entry_arc[h]] == amu:
-                            h = -1
-                    elif o >= root:
-                        # blossom enlarge test: x is flagged in this search,
-                        # and the node itself, or a descendant occurrence of
-                        # x, is in a blossom.  While a scan is active every
-                        # node with a larger id sits inside its call subtree,
-                        # so an occurrence outside the blossom is an ancestor
-                        # of the blossom's base exactly when its id is smaller.
-                        if par[node] == -1:  # node is in no blossom
-                            r = o if par[o] < 0 else find(o)
-                            rec = root_record.get(r)
-                            if node >= (r if rec is None else rec.base_node):
-                                h = -1
-                        if check and h >= 0:
-                            self.n_arcs = n_arcs
-                            self._check_enlarge_applies(node, x)
+                            trace(f"augment at {x} node {node} arc {arc}")
+                        frames.clear()
+                        break
+                    if amu:
+                        closed = closed_u
+                        cur = curu
                     else:
-                        # x is in a blossom of an earlier search: this scan
-                        # pops nothing
-                        h = -1
-
-                    if h >= 0:
-                        nxt = bl_entry_next[h]
-                        bl_first[x] = nxt
-                        if nxt < 0:
-                            bl_last[x] = -1
-                        popped_node = bl_entry_node[h]
-                        popped_arc = bl_entry_arc[h]
-                        if tracing:
-                            trace(f"pop at {x} entry node {popped_node} arc {popped_arc}")
-                        if check and popped_arc < root:  # arcs are numbered in creation order
-                            self.n_arcs = n_arcs
-                            self._fail(f"popped BL entry {popped_arc} from an earlier search")
-                        rn = node if par[node] < 0 else find(node)
-                        rm = popped_node if par[popped_node] < 0 else find(popped_node)
-                        if rn == rm:
+                        closed = closed_m
+                        cur = curm
+                    i = cur[x]
+                    hi = inc_end[x]
+                    while i < hi:
+                        e = inc[i]
+                        i += 1
+                        if not closed[e]:
+                            # grow e: the child's invocation replaces this
+                            # one, which is pushed
+                            cur[x] = i
+                            closed[e] = 1
+                            push((node, arc, x, amu))
+                            ftail[n_arcs] = node
+                            node = arc = n_arcs
+                            n_arcs += 1
+                            x ^= exor[e]
+                            amu ^= 1
+                            fedge[node] = e
+                            fmatched[node] = amu
+                            fvertex[node] = x
                             if tracing:
+                                trace(f"grow {x ^ exor[e]}->{x} edge {e} arc {node}")
+                            break
+                    else:
+                        # the scan is exhausted: the blossom tests
+                        cur[x] = i
+                        o = vertex_occurrence[x]
+                        h = bl_first[x]
+                        if o < 0:
+                            # blossom base test: x occurs in no blossom, so
+                            # its entries share one M-type; pop one of the
+                            # other type
+                            if h >= 0 and fmatched[bl_entry_arc[h]] == amu:
+                                h = -1
+                        elif o >= root:
+                            # blossom enlarge test: x is flagged in this
+                            # search, and the node itself, or a descendant
+                            # occurrence of x, is in a blossom.  While a scan
+                            # is active every node with a larger id sits
+                            # inside its call subtree, so an occurrence
+                            # outside the blossom is an ancestor of the
+                            # blossom's base exactly when its id is smaller.
+                            if par[node] == -1:  # node is in no blossom
+                                r = o if par[o] < 0 else find(o)
+                                rec = root_record.get(r)
+                                if node >= (r if rec is None else rec.base_node):
+                                    h = -1
+                            if check and h >= 0:
+                                self.n_arcs = n_arcs
+                                self._check_enlarge_applies(node, x)
+                        else:
+                            # x is in a blossom of an earlier search: this
+                            # scan pops nothing
+                            h = -1
+
+                        if h >= 0:
+                            nxt = bl_entry_next[h]
+                            bl_first[x] = nxt
+                            if nxt < 0:
+                                bl_last[x] = -1
+                            popped_node = bl_entry_node[h]
+                            popped_arc = bl_entry_arc[h]
+                            if tracing:
+                                trace(f"pop at {x} entry node {popped_node} arc {popped_arc}")
+                            if check and popped_arc < root:  # arcs are numbered in creation order
+                                self.n_arcs = n_arcs
+                                self._fail(f"popped BL entry {popped_arc} from an earlier search")
+                            rn = node if par[node] < 0 else find(node)
+                            rm = popped_node if par[popped_node] < 0 else find(popped_node)
+                            if rn != rm:
+                                self.n_arcs = n_arcs
+                                push((node, arc, x, amu))
+                                frames += self._blossom_step(node, rn, rm)
+                                node, arc, x, amu = pop()
+                            elif tracing:
                                 trace("blossom noop")
                             continue
-                        self.n_arcs = n_arcs
-                        push((node, arc, x, amu, s_blossom))
-                        frames += self._blossom_step(node, rn, rm)
-                        node, arc, x, amu, state = pop()
-                        continue
 
-                    # nothing to pop: the invocation returns
-                    bl_entry_node[n_bl] = node
-                    bl_entry_arc[n_bl] = arc
-                    t = bl_last[x]
-                    if t >= 0:
-                        bl_entry_next[t] = n_bl
-                    else:
-                        bl_first[x] = n_bl
-                    bl_last[x] = n_bl
-                    n_bl += 1
-                    if e1_arc[x] < 0:
-                        e1_arc[x] = arc
-                        if check:
-                            e1_at[x] = n_arcs
-                    if o >= root and arc == node:
-                        # head-flavor return: may complete a blossom based
-                        # here; the blossom step that made it flagged x in
-                        # this search
-                        rec = base_record.get(node)
-                        if rec is not None:
-                            rec.complete = True
-                            if tracing:
-                                trace(f"complete blossom base {node}")
-                    if tracing:
-                        trace(f"return node {node} arc {arc}")
-                    if not frames:
-                        break
-                    node, arc, x, amu, state = pop()
+                        # nothing to pop: the invocation returns
+                        bl_entry_node[n_bl] = node
+                        bl_entry_arc[n_bl] = arc
+                        t = bl_last[x]
+                        if t >= 0:
+                            bl_entry_next[t] = n_bl
+                        else:
+                            bl_first[x] = n_bl
+                        bl_last[x] = n_bl
+                        n_bl += 1
+                        if e1_arc[x] < 0:
+                            e1_arc[x] = arc
+                            if check:
+                                e1_at[x] = n_arcs
+                        if o >= root and arc == node:
+                            # head-flavor return: may complete a blossom
+                            # based here; the blossom step that made it
+                            # flagged x in this search
+                            rec = base_record.get(node)
+                            if rec is not None:
+                                rec.complete = True
+                                if tracing:
+                                    trace(f"complete blossom base {node}")
+                        if tracing:
+                            trace(f"return node {node} arc {arc}")
+                        if not frames:
+                            break
+                        node, arc, x, amu = pop()
 
         self.n_arcs = n_arcs
         self.search_id = sid
@@ -585,11 +582,11 @@ class _Run:
         arcs.reverse()
         return arcs
 
-    def _blossom_step(self, node: int, rn: int, rm: int) -> list[tuple[int, int, int, int, int]]:
+    def _blossom_step(self, node: int, rn: int, rm: int) -> list[tuple[int, int, int, int]]:
         """Contract the path from component rn down to the popped component rm.
 
-        Returns the START frames of the invocations the step leaves
-        pending, the first one last (on top of the stack).
+        Returns the frames of the invocations the step leaves pending, the
+        first one last (on top of the stack).
         """
         forest = self.forest
         store = self.store
@@ -640,7 +637,7 @@ class _Run:
             self._check_blossom(rec, seg, root, owner_in_last)
 
         matched = forest.matched
-        return [(tail[a], a, vertex[tail[a]], matched[a], START) for a in reversed(path[1:])]
+        return [(tail[a], a, vertex[tail[a]], matched[a]) for a in reversed(path[1:])]
 
     def _make_trail(self, alpha: int, root: int, x: int, node: int, arc: int) -> Trail:
         par, find = self.store.parent, self.store.find
@@ -794,10 +791,9 @@ def find_trails(
     """
     if isinstance(matching, MatchState):
         _check_carried(g, f, matching, check)
-        state = matching
     else:
-        state = match_state(g, f, matching)
-    run = _Run(g, state, check, trace)
+        matching = match_state(g, f, matching)
+    run = _Run(g, matching, check, trace)
     if order is None:
         order = compress(range(g.n), run.deficiency)
     else:
@@ -829,5 +825,5 @@ def find_trails(
     store = run.store
     store.trim(n_arcs)
     return BlockingResult(
-        g, state.flags, run.trails, forest, store, run.e1_arc, run.deficiency, run.search_id + 1
+        g, matching.flags, run.trails, forest, store, run.e1_arc, run.deficiency, run.search_id + 1
     )

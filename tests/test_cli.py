@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from ftrails import cli
+from ftrails.certificate import parse_certificate
 from ftrails.cli import Instance, emit_instance, main, parse_instance
+from ftrails.engine import CheckFailure, StructuralError
 from ftrails.multigraph import Multigraph
 from helpers import random_valid_matching
 
@@ -52,6 +54,21 @@ def test_parse_rejects_invalid_matching():
 def test_parse_rejects_negative_bound():
     with pytest.raises(ValueError, match=r"^line 2: degree bound -1 of vertex 2 is negative$"):
         parse_instance("p ftrails 2 1\nf 2 -1\ne 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p ftrails -1 0\n", "line 1: negative size"),
+        ("p ftrails 2 -1\n", "line 1: negative size"),
+        ("c no problem line\n", "missing problem line"),
+        ("", "missing problem line"),
+    ],
+    ids=["negative-n", "negative-m", "comment-only", "empty"],
+)
+def test_parse_rejects_sizes_and_a_missing_problem_line(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_instance(text)
 
 
 def test_default_bounds_are_one():
@@ -102,6 +119,16 @@ def test_certify_overlapping_sets_is_input_error(tmp_path):
     assert code == 1
 
 
+def test_certify_vertex_out_of_range_exits_one_with_one_line(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    cert = tmp_path / "cert.txt"
+    inst.write_text(TRIANGLE)
+    cert.write_text("I 4\nO 1\n")
+    code, out = run_cli(["certify", str(inst), str(cert)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: certificate vertex 4 out of range\n"
+
+
 def test_block_single_edge(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_text(SINGLE_EDGE)
@@ -123,6 +150,20 @@ def test_block_at_maximum(tmp_path):
     bound = next(l for l in lines if l.startswith("bound"))
     residual = next(l for l in lines if l.startswith("residual"))
     assert bound.split()[1] == residual.split()[1]
+
+
+def test_block_writes_its_certificate(tmp_path):
+    inst = tmp_path / "inst.txt"
+    cert = tmp_path / "cert.txt"
+    inst.write_text("p ftrails 4 5\ne 1 2\ne 2 3\ne 3 1\ne 3 4\ne 4 4\nm 2\n")
+    code, out = run_cli(["block", str(inst), "--cert-out", str(cert)])
+    assert code == 0
+    text = cert.read_text()
+    inner, outer, bound = parse_certificate(text)
+    assert not inner & outer
+    printed = [l for l in out.splitlines() if l.split()[0] in ("bound", "residual")]
+    written = [l for l in text.splitlines() if l.split()[0] in ("bound", "residual")]
+    assert printed == written and printed[0] == f"bound {bound}" and len(printed) == 2
 
 
 def test_malformed_file_exits_one(tmp_path):
@@ -163,6 +204,34 @@ def test_gen_negative_edge_count_exits_one_with_one_line(capsys):
     assert capsys.readouterr().err == "error: edge count must be non-negative\n"
 
 
+FMAX_RANGE = "largest degree bound must be in 1..2147483647"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["3", "2", "0", "1"], FMAX_RANGE),
+        (["3", "2", "-5", "1"], FMAX_RANGE),
+        (["3", "2", "2147483648", "1"], FMAX_RANGE),
+        (["2", "1", "1000000000000", "1"], FMAX_RANGE),
+        (["0", "3", "1", "1"], "edges need at least one vertex"),
+    ],
+    ids=["fmax-zero", "fmax-negative", "fmax-above-limit", "fmax-far-above-limit", "no-vertices"],
+)
+def test_gen_arguments_out_of_range_exit_one_with_one_line(args, message, capsys):
+    code, out = run_cli(["gen", *args])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_gen_largest_degree_bound_solves(tmp_path):
+    code, out = run_cli(["gen", "3", "2", "2147483647", "1"])
+    assert code == 0
+    path = tmp_path / "inst.txt"
+    path.write_text(out)
+    assert run_cli(["solve", str(path)])[0] == 0
+
+
 def test_gen_round_trips_and_solves(tmp_path):
     code, out = run_cli(["gen", "6", "10", "3", "11"])
     inst = parse_instance(out)
@@ -196,6 +265,20 @@ def test_main_turns_recursion_and_memory_errors_into_exit_one(tmp_path, monkeypa
         assert main(["solve", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_main_turns_engine_faults_into_exit_two(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text(TRIANGLE)
+    for exc in (StructuralError, CheckFailure):
+
+        def fail(*_args, **_kwargs):
+            raise exc("corrupt forest")
+
+        monkeypatch.setattr(cli, "max_f_matching", fail)
+        code, out = run_cli(["solve", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "verification failure: corrupt forest\n"
 
 
 # Replacement tokens for the fuzz test: numbers stay <= 1000, so no declared

@@ -614,3 +614,17 @@ def test_search_pinned():
         g, f = random_instance(rng, 8, 13, 3)
         _solve_digest(h, g, f, random_valid_matching(rng, g, f), check=True)
     assert h.hexdigest() == "355e735bc1d08b5c0f39081956a788b068eff84e623c92d700201efc9ab5dad0"
+
+    # the full trace stream of solves whose searches nest blossoms and make
+    # noops: two instances of dense-solve's shape (a solve of the first
+    # makes 1,040 noops and 694 blossom steps) and a triangle chain
+    h = hashlib.sha256()
+    for seed in ("dense-solve/0", "dense-solve/1"):
+        rng = random.Random(seed)
+        n, m = 1000, 4000
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+        f = [rng.randint(1, 3) for _ in range(n)]
+        _solve_digest(h, Multigraph(n, edges), f, set(), check=True)
+    g = triangle_chain(64)
+    _solve_digest(h, g, [1] * g.n, set(), check=True)
+    assert h.hexdigest() == "69a7fc32868164a83a44d497f36587da0fc5f2eca824007c51b87c4e65dc71d6"

@@ -52,6 +52,11 @@ def test_bad_endpoints_rejected():
         Multigraph(2, [(0, 2)])
 
 
+def test_negative_vertex_count_rejected():
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        Multigraph(-1, [])
+
+
 def test_incidence_lists_loop_once():
     g = Multigraph(2, [(0, 0), (0, 1)])
     assert list(g.inc_off) == [0, 2, 3]

@@ -109,6 +109,21 @@ def test_build_rejects_input_outside_the_graph(f, matching, vertices, base_edge,
         build_substitute(g, f or f0, m0 if matching is None else matching, [spec])
 
 
+@pytest.mark.parametrize(
+    "kind, base, message",
+    [
+        ("medium", 0, "unknown blossom kind 'medium'"),
+        (LIGHT, 3, "blossom 0 base 3 outside its vertex set"),
+    ],
+    ids=["unknown-kind", "base-outside"],
+)
+def test_build_rejects_a_malformed_blossom(kind, base, message):
+    g, f, m, spec = light_instance()
+    spec = BlossomSpec(vertices=spec.vertices, base=base, kind=kind, base_edge=3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_substitute(g, f, m, [spec])
+
+
 def test_pull_back_identity_away_from_gadget():
     g, f, m, spec = light_instance()
     g2, _f2, _m2, smap = build_substitute(g, f, m, [spec])
