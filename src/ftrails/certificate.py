@@ -18,12 +18,12 @@ from __future__ import annotations
 from collections.abc import Container
 from dataclasses import dataclass
 from itertools import compress
-from operator import add, mul, ne
+from operator import add, index, mul, ne
 from typing import NamedTuple, Optional
 
-from .engine import _FLIP, BlockingResult
+from .engine import _FLIP, BlockingResult, preorder
 from .expand import expand_all
-from .multigraph import Multigraph
+from .multigraph import Multigraph, check_inputs
 
 IN_COMPLETE_BLOSSOM = "IN_COMPLETE_BLOSSOM"
 ORPHAN = "ORPHAN"
@@ -82,19 +82,22 @@ class CertificateReport:
 
 
 def _walk_complete(result: BlockingResult) -> tuple[bytearray, bytearray, set[tuple[int, int]]]:
-    """One walk over the maximal complete blossoms: flags of the vertices
-    they hold and of the edges inside them, and their (base vertex, base
-    edge) pairs."""
+    """One walk over the maximal complete blossoms (engine.preorder): flags
+    of the vertices they hold and of the edges inside them, and their (base
+    vertex, base edge) pairs."""
     forest = result.forest
     vertex, edge = forest.vertex, forest.edge
     in_complete = bytearray(result.g.n)
     inside = bytearray(result.g.m)
     bases: set[tuple[int, int]] = set()
-    for rec in result.blossoms.maximal_complete():
-        base = rec.base_node
+    records = result.blossoms.maximal_complete()
+    order, span = preorder(records)
+    for rec in records:
+        lo, hi = span[rec]
+        base = order[lo]
         bases.add((vertex[base], edge[base]))
         in_complete[vertex[base]] = 1
-        for a in rec.iter_arcs():
+        for a in order[lo + 1 : hi]:
             in_complete[vertex[a]] = 1
             inside[edge[a]] = 1
     return in_complete, inside, bases
@@ -302,18 +305,23 @@ def bound_value(
     """Evaluate the odd-set expression for disjoint vertex sets I and O.
 
     This upper-bounds the size of every f-matching of the (sub)graph for
-    any choice of disjoint I and O.
+    any choice of disjoint I and O.  Raises ValueError when f does not fit
+    g (check_inputs), when I and O overlap, or when a member of either is
+    not a vertex id.
     """
+    check_inputs(g, f, ())
     if inner & outer:
         raise ValueError("I and O overlap")
-    for v in inner | outer:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
     code = bytearray(g.n)
-    for v in inner:
-        code[v] = _INNER
-    for v in outer:
-        code[v] = _OUTER
+    for c, vertices in ((_INNER, inner), (_OUTER, outer)):
+        for v in vertices:
+            try:
+                i = index(v)
+            except TypeError:
+                raise ValueError(f"vertex {v!r} is not a vertex id") from None
+            if not 0 <= i < g.n:
+                raise ValueError(f"vertex {v} out of range")
+            code[i] = c
     return _odd_set(g, f, code, range(g.m), bytes(g.m)).bound
 
 

@@ -125,35 +125,39 @@ class BlossomRecord:
     segments: list[BlossomSegment]
     complete: bool = False
 
-    def iter_nodes(self):
-        """The base node, then every node inside the blossom.
-
-        A frozen child's base node is the arc that enters it, so the nodes
-        inside are exactly the arcs inside.
-        """
-        yield self.base_node
-        yield from self.iter_arcs()
-
-    def iter_arcs(self):
-        """All forest arcs inside the blossom (the base edge excluded).
-
-        Each arc comes right before the arcs inside the frozen child it
-        enters.  The walk keeps its own stack: nesting can be as deep as
-        the forest, far beyond the interpreter's recursion limit.
-        """
-        stack = [_arc_child_pairs(self)]
-        while stack:
-            for arc, child in stack[-1]:
-                yield arc
-                if child is not None:
-                    stack.append(_arc_child_pairs(child))
-                    break
-            else:
-                stack.pop()
-
 
 def _arc_child_pairs(rec: BlossomRecord):
     return ((arc, child) for seg in rec.segments for arc, child in zip(seg.arcs, seg.children))
+
+
+def preorder(
+    records: Iterable[BlossomRecord],
+) -> tuple[list[int], dict[BlossomRecord, tuple[int, int]]]:
+    """The nodes of the given records in pre-order, and each record's interval.
+
+    Each record contributes its base node, then the nodes inside it: every
+    arc comes right before the nodes inside the frozen child it enters (a
+    frozen child's base node is the arc that enters it).  span maps every
+    record, nested ones too, to its interval [lo, hi) of order; order[lo] is
+    its base node.  The walk keeps its own stack: nesting can be as deep as
+    the forest, far beyond the interpreter's recursion limit.
+    """
+    order: list[int] = []
+    span: dict[BlossomRecord, tuple[int, int]] = {}
+    for top in records:
+        order.append(top.base_node)
+        stack = [(top, len(order) - 1, _arc_child_pairs(top))]
+        while stack:
+            rec, lo, pairs = stack[-1]
+            for arc, child in pairs:
+                order.append(arc)
+                if child is not None:
+                    stack.append((child, len(order) - 1, _arc_child_pairs(child)))
+                    break
+            else:
+                stack.pop()
+                span[rec] = (lo, len(order))
+    return order, span
 
 
 class Forest:

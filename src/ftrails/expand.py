@@ -7,14 +7,18 @@ blossom's own edges has to be spliced in.  Those connections are the
 classic P-trails: for an occurrence v inside a blossom and a required
 M-type at v, an alternating trail from v to the base whose final edge
 stays compatible with the base edge.  They are read off the recorded
-closed-trail segments; no search over the subgraph is involved.
+closed-trail segments; no search over the subgraph is involved.  A
+contracted trail enters each blossom it crosses by the base edge, so
+expansion splices each P-trail in from the base to v, the one direction
+the router produces.
 
-A graph trail (GTrail) is its root, its terminal, its edge ids and its
-graph; its (edge, from, to) steps are derived from the root (walk).
+A graph trail (GTrail) is a named tuple of its root, its terminal, its
+edge ids and its graph; its (edge, from, to) steps are derived from the
+root (walk).  expand_all builds a phase's graph trails in one loop.
 
-The nodes inside blossoms are numbered once per phase, in pre-order, so
-each record, nested or not, is one interval: placing a node is an interval
-test and a bisect, not a walk over every record that encloses it.
+The nodes inside blossoms are numbered once per phase by engine.preorder,
+so each record, nested or not, is one interval: placing a node is an
+interval test and a bisect, not a walk over every record that encloses it.
 """
 
 from __future__ import annotations
@@ -22,17 +26,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .engine import (
-    BlockingResult,
-    BlossomRecord,
-    StructuralError,
-    Trail,
-    _arc_child_pairs,
-)
+from .engine import BlockingResult, BlossomRecord, StructuralError, _check_carried, preorder
 from .multigraph import MatchState, Multigraph, match_state
 
 # Part of a route, and whether it is traversed backwards: an edge id or a
@@ -49,14 +46,13 @@ def walk(g: Multigraph, start: int, edges: Iterable[int]) -> Iterator[tuple[int,
         start = nxt
 
 
-@dataclass(frozen=True)
-class GTrail:
+class GTrail(NamedTuple):
     """An alternating trail in g: its root, terminal and edge ids in order."""
 
     root_vertex: int
     terminal_vertex: int
     edges: tuple[int, ...]
-    g: Multigraph = field(repr=False, compare=False)
+    g: Multigraph
 
     @property
     def steps(self) -> tuple[tuple[int, int, int], ...]:
@@ -110,10 +106,10 @@ class _Locator:
 class _Router:
     """Computes alternating trails to blossom bases from the stored segments.
 
-    At its first use it numbers the nodes inside the root records in the
-    pre-order of BlossomRecord.iter_nodes (order, and pos its inverse), with
-    the interval of every record, nested ones too, in span and each
-    vertex's ascending positions in vertex_pos.
+    At its first use it numbers the nodes inside the root records by
+    engine.preorder: order, with pos its inverse, and span, the interval of
+    every record, nested ones too.  vertex_pos holds each vertex's ascending
+    positions in order.
     """
 
     def __init__(self, result: BlockingResult) -> None:
@@ -122,21 +118,8 @@ class _Router:
         self._locators: dict[BlossomRecord, _Locator] = {}
 
     def _number(self) -> None:
-        order = self.order = []
-        self.span: dict[BlossomRecord, tuple[int, int]] = {}
-        for root in self.store.root_record.values():
-            order.append(root.base_node)
-            stack = [(root, len(order) - 1, _arc_child_pairs(root))]
-            while stack:
-                rec, lo, pairs = stack[-1]
-                for arc, child in pairs:
-                    order.append(arc)
-                    if child is not None:
-                        stack.append((child, len(order) - 1, _arc_child_pairs(child)))
-                        break
-                else:
-                    stack.pop()
-                    self.span[rec] = (lo, len(order))
+        self.order, self.span = preorder(self.store.root_record.values())
+        order = self.order
         self.pos = dict(zip(order, range(len(order))))
         self.vertex_pos: dict[int, list[int]] = {}
         for p, v in enumerate(map(self.forest.vertex.__getitem__, order)):
@@ -150,16 +133,14 @@ class _Router:
             loc = self._locators[rec] = _Locator(rec, self)
         return loc
 
-    def route(
-        self, rec: BlossomRecord, node: int, start_matched: bool, reverse: bool = False
-    ) -> list[int]:
-        """Edge ids of an alternating trail from node's vertex to rec's base vertex.
+    def route(self, rec: BlossomRecord, node: int, start_matched: bool) -> list[int]:
+        """Edge ids of an alternating trail from rec's base vertex to node's vertex.
 
-        The first edge has the requested M-type; the last edge always has
-        the M-type opposite the base edge, so the base edge extends the
-        trail alternatingly.  Empty exactly when node is the base and the
-        request equals the base edge's M-type.  With reverse, the trail is
-        returned from the base vertex to node's vertex instead.
+        The edge at node has the requested M-type and the edge at the base
+        the M-type opposite the base edge's, so the trail alternates when
+        spliced in after the base edge, which is how expansion uses it.
+        Empty exactly when node is the base and the request equals the base
+        edge's M-type.
 
         One loop over a stack of (reversed, piece) pairs, where a piece is
         an edge id or a sub-request (record, node, start_matched,
@@ -167,7 +148,7 @@ class _Router:
         when the structure does not support the request.
         """
         out: list[int] = []
-        stack: list[Piece] = [(reverse, (rec, node, start_matched, None))]
+        stack: list[Piece] = [(True, (rec, node, start_matched, None))]
         while stack:
             rev, piece = stack.pop()
             if type(piece) is int:
@@ -276,54 +257,57 @@ def pi_trail(
     recorded structure cannot supply the requested M-type at node.
     """
     edges = (router or _Router(result)).route(rec, node, start_matched)
+    edges.reverse()
     return list(walk(result.g, result.forest.vertex[node], edges))
 
 
-def expand_trail(result: BlockingResult, trail: Trail, router: _Router) -> GTrail:
-    """Expand a contracted trail into an alternating trail of graph edges.
+def expand_all(result: BlockingResult) -> list[GTrail]:
+    """Expand every contracted trail of a run into an alternating trail of
+    graph edges, kept in result.expanded for reuse.
 
-    Reads the union-find parents and the root records directly.  A node is
-    in a blossom when its parent is not -1 (another node, or minus the size
-    of a component of more than one node); an arc whose tail is in none
-    only adds its edge, and find runs only for a tail that is not a root
-    itself.
+    One loop over the trails, with the run's arrays and the router's route
+    bound once.  Each arc adds its edge, after the route from the base of
+    the blossom holding its tail (if any) to the tail; the trail ends with
+    the route to its final node when that node is in a blossom.  A node is
+    in a blossom when its union-find parent is not -1 (another node, or
+    minus the size of a component of more than one node), so an arc whose
+    tail is in none only adds its edge.
+
+    Raises StructuralError when a trail ends on a matched arc, ends off its
+    last arc at an atom, or does not start at its search root.
     """
+    if result.expanded is not None:
+        return result.expanded
+    g = result.g
+    ends = g.edges
     forest = result.forest
     tail, edge, matched = forest.tail, forest.edge, forest.matched
     store = result.blossoms
     par, find, root_record = store.parent, store.find, store.root_record
-
-    edges: list[int] = []
-    for a in trail.arcs:
-        t = tail[a]
-        if par[t] != -1:
-            rec = root_record.get(find(t))
-            if rec is not None:
-                edges += router.route(rec, t, not matched[a], reverse=True)
-        edges.append(edge[a])
-
-    final = trail.final_node
-    if matched[trail.final_arc]:
-        raise StructuralError("trail terminates on a matched arc")
-    rec = root_record.get(final if par[final] < 0 else find(final))
-    if rec is not None:
-        edges += router.route(rec, final, False, reverse=True)
-    elif final != (trail.arcs[-1] if trail.arcs else -1):
-        raise StructuralError("atomic trail terminal is not the last trail arc")
-
-    # the root crossing (first component) was handled by the first arc's
-    # tail lookup above
-    if edges and trail.root_vertex not in result.g.edges[edges[0]]:
-        raise StructuralError("expanded trail does not start at the search root")
-    return GTrail(trail.root_vertex, trail.terminal_vertex, tuple(edges), result.g)
-
-
-def expand_all(result: BlockingResult) -> list[GTrail]:
-    """Expand every trail of a run, kept in result.expanded for reuse."""
-    if result.expanded is None:
-        router = _Router(result)
-        result.expanded = [expand_trail(result, t, router) for t in result.trails]
-    return result.expanded
+    route = _Router(result).route
+    out: list[GTrail] = []
+    for root_vertex, terminal_vertex, arcs, final, final_arc in result.trails:
+        edges: list[int] = []
+        for a in arcs:
+            t = tail[a]
+            if par[t] != -1:
+                rec = root_record.get(find(t))
+                if rec is not None:
+                    edges += route(rec, t, not matched[a])
+            edges.append(edge[a])
+        if matched[final_arc]:
+            raise StructuralError("trail terminates on a matched arc")
+        rec = root_record.get(final if par[final] < 0 else find(final))
+        if rec is not None:
+            edges += route(rec, final, False)
+        elif final != (arcs[-1] if arcs else -1):
+            raise StructuralError("atomic trail terminal is not the last trail arc")
+        # the first arc's tail lookup handled the root's own blossom
+        if edges and root_vertex not in ends[edges[0]]:
+            raise StructuralError("expanded trail does not start at the search root")
+        out.append(GTrail(root_vertex, terminal_vertex, tuple(edges), g))
+    result.expanded = out
+    return out
 
 
 def _faults(g: Multigraph, matched, flipped, trails: list[GTrail]) -> tuple[int, list[str]]:
@@ -387,8 +371,9 @@ def rematch(
     """Symmetric difference of the matching with a set of augmenting trails.
 
     matching must be a valid f-matching, as a set of edge ids or as a
-    MatchState, and the result is of the same kind.  A state is left as it
-    was; applying the trails to it costs their length plus copies in C.
+    MatchState, and the result is of the same kind.  A state gets
+    find_trails's shape checks and is left as it was; applying the trails
+    to it costs their length plus copies in C.
     The trails must be pairwise edge-disjoint alternating trails with
     deficient endpoints; any violation signals an engine bug and raises.
     The result is a valid matching exactly one edge larger per trail.
@@ -402,7 +387,11 @@ def rematch(
     drops by one, and the flipped edges must grow the matching by one per
     trail.
     """
-    state = matching if isinstance(matching, MatchState) else match_state(g, f, matching)
+    if isinstance(matching, MatchState):
+        _check_carried(g, f, matching, False)
+        state = matching
+    else:
+        state = match_state(g, f, matching)
     before = state.flags
     flipped = bytearray(g.m)
     deficiency = array("i", state.deficiency)

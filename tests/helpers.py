@@ -8,7 +8,7 @@ import random
 from itertools import compress
 
 from ftrails.cli import main, parse_instance
-from ftrails.engine import BlockingResult, StructuralError, find_trails
+from ftrails.engine import BlockingResult, StructuralError, find_trails, preorder
 from ftrails.expand import _Router, check_gtrail, expand_all, pi_trail, rematch
 from ftrails.multigraph import Multigraph, validate_matching
 
@@ -151,10 +151,11 @@ def validate_blossoms(result: BlockingResult, complete_only: bool = True) -> lis
     for rec in all_records(result):
         if complete_only and not rec.complete:
             continue
-        edge_set = {forest.edge[a] for a in rec.iter_arcs()}
+        nodes = preorder([rec])[0]
+        edge_set = {forest.edge[a] for a in nodes[1:]}
         beta_vertex = forest.vertex[rec.base_node]
         eta_matched = bool(forest.matched[rec.base_node])
-        for node in set(rec.iter_nodes()):
+        for node in set(nodes):
             ok_parities = 0
             for start_matched in (False, True):
                 try:

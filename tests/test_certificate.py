@@ -45,6 +45,25 @@ def test_bound_rejects_overlap():
         bound_value(g, [1, 1], {0}, {0})
 
 
+@pytest.mark.parametrize(
+    "f, inner, outer, message",
+    [
+        ([1], set(), set(), "degree bound vector has length 1, expected 2"),
+        ([-3, 1], {0}, set(), r"degree bound f\(0\) = -3 is negative"),
+        ([1, 1], {0.0}, set(), "vertex 0.0 is not a vertex id"),
+        ([1, 1], set(), {"1"}, "vertex '1' is not a vertex id"),
+        ([1, 1], {2}, set(), "vertex 2 out of range"),
+        ([1, 1], set(), {-1}, "vertex -1 out of range"),
+    ],
+    ids=["short-f", "negative-f", "float-vertex", "str-vertex", "vertex-beyond-n",
+         "negative-vertex"],
+)
+def test_bound_rejects_inputs_outside_the_graph(f, inner, outer, message):
+    g = Multigraph(2, [(0, 1)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bound_value(g, f, inner, outer)
+
+
 def test_residual_graph_no_trails_is_whole_graph():
     g = Multigraph(3, [(0, 1), (1, 2)])
     m = {0}
@@ -203,6 +222,18 @@ VERIFY_TAMPERS = {
         path_result,
         lambda r: _set(r.e1_arc, 2, -1),
         ["orphan edge 1 disagrees with e1's M-type at vertex 1"],
+    ),
+    # an orphan next to an outer vertex is tested in the outer end's branch:
+    # vertex 1 is the second end of edge 0 here, and its first end below
+    "orphan-outer-e1-type": (
+        path_result,
+        lambda r: _set(r.e1_arc, 1, -1),
+        ["orphan edge 0 disagrees with e1's M-type at vertex 0"],
+    ),
+    "orphan-first-outer-e1-type": (
+        lambda: find_trails(Multigraph(3, [(1, 0), (1, 2)]), [1, 1, 1], {1}, check=True),
+        lambda r: _set(r.e1_arc, 1, -1),
+        ["orphan edge 0 disagrees with e1's M-type at vertex 0"],
     ),
     "orphan-off-base": (
         pendant_triangle_result,

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from ftrails import driver
 from ftrails.cli import main, parse_instance
 from ftrails.driver import max_f_matching
-from ftrails.engine import find_trails
+from ftrails.engine import StructuralError, find_trails
 from ftrails.expand import expand_all, rematch
 from ftrails.multigraph import Multigraph
 from helpers import random_instance, random_valid_matching, run_phases, triangle_chain
@@ -49,6 +50,39 @@ def test_invalid_init_rejected():
     g = Multigraph(2, [(0, 1), (0, 1)])
     with pytest.raises(ValueError, match=r"^matching violates degree bounds at vertices \[0, 1\]$"):
         max_f_matching(g, [1, 1], init={0, 1})
+
+
+def test_solve_raises_when_the_final_certificate_fails(monkeypatch):
+    real = driver.verify
+
+    def failing(result):
+        report = real(result)
+        report.ok = False
+        report.failures = ["tampered", "twice"]
+        return report
+
+    monkeypatch.setattr(driver, "verify", failing)
+    with pytest.raises(
+        StructuralError, match="^certificate verification failed: tampered; twice$"
+    ):
+        max_f_matching(Multigraph(2, [(0, 1)]), [1, 1])
+
+
+def test_solve_raises_past_the_termination_bound(monkeypatch):
+    # phases that find a trail but never rematch it: the bound, sum(f) // 2
+    # + 1 = 2 phases with trails, stops the third
+    real = driver.run_phase
+    phases = []
+
+    def stuck(g, f, state, check, trace):
+        result, trails, _rematched = real(g, f, state, check, trace)
+        phases.append(len(trails))
+        return result, trails, state
+
+    monkeypatch.setattr(driver, "run_phase", stuck)
+    with pytest.raises(StructuralError, match="^phase count exceeded the termination bound$"):
+        max_f_matching(Multigraph(2, [(0, 1)]), [1, 1])
+    assert phases == [1, 1, 1]
 
 
 def test_monotone_phases_and_termination():

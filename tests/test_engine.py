@@ -8,7 +8,7 @@ import pytest
 
 from ftrails.driver import max_f_matching
 from ftrails import engine
-from ftrails.engine import ARTIFICIAL, CheckFailure, find_trails
+from ftrails.engine import ARTIFICIAL, CheckFailure, StructuralError, find_trails
 from ftrails.expand import expand_all, rematch
 from ftrails.multigraph import Multigraph, match_state
 from helpers import (
@@ -272,6 +272,130 @@ def test_check_catches_an_enlarge_test_without_a_blossom(monkeypatch):
         CheckFailure, match="enlarge test fired at node 0 with no descendant of 0 in a blossom"
     ):
         corrupted_run(monkeypatch, g, [1, 1, 1], {1}, "search 0 root 0 node 0", corrupt)
+
+
+def test_check_catches_a_pop_of_an_entry_from_an_earlier_search(monkeypatch):
+    # e1(2) = arc 1 returned unmatched in search 0; turned matched, it is
+    # of the other M-type than the late arrival 4 at vertex 2 in search 1,
+    # whose base test then pops it
+    def corrupt(run):
+        run.forest.matched[1] = 1
+
+    with pytest.raises(CheckFailure, match="popped BL entry 1 from an earlier search"):
+        corrupted_run(monkeypatch, LATE_G, LATE_F, LATE_M, "search 1 root 1 node 3", corrupt)
+
+
+def corrupted_step(monkeypatch, g, f, matching, step, corrupt):
+    """find_trails in check mode, calling corrupt(run) right before blossom
+    step number step (counted from 0)."""
+    blossom_step = engine._Run._blossom_step
+    steps = []
+
+    def wrapped(self, node, rn, rm):
+        if len(steps) == step:
+            corrupt(self)
+        steps.append(node)
+        return blossom_step(self, node, rn, rm)
+
+    monkeypatch.setattr(engine._Run, "_blossom_step", wrapped)
+    return find_trails(g, f, matching, check=True)
+
+
+# step 0: blossom base 0 path [1, 2, 3], the arcs unmatched, matched, unmatched
+TRIANGLE = (Multigraph(3, [(0, 1), (1, 2), (2, 0)]), [1, 1, 1], {1})
+# step 0: blossom base 0 path [1], a loop; step 1 enlarges it by path [2]
+LOOPS = (Multigraph(2, [(0, 0), (1, 1), (0, 0)]), [1, 1], set())
+
+
+def _set(seq, i, value):
+    seq[i] = value
+
+
+# (instance, step, corruption, the message check mode gives)
+BLOSSOM_CORRUPTIONS = {
+    # step 1 of the skew cascade absorbs the blossom based at node 6
+    "incomplete-child": (
+        (Multigraph(7, SKEW_EDGES), SKEW_F, SKEW_M),
+        1,
+        lambda run: setattr(run.store.base_record[6], "complete", False),
+        "incomplete blossom absorbed as a frozen child",
+    ),
+    # step 4 is blossom base 0 path [1, 4], arc 1 entering the complete
+    # blossom based at node 1; node 1 is not its union-find root, and
+    # pointing it at the root of the complete blossom based at node 5, off
+    # the path, makes that blossom the child entered by arc 1
+    "off-base": (
+        (
+            Multigraph(3, [(0, 1), (0, 0), (2, 2), (2, 1), (0, 0), (0, 1), (2, 2)]),
+            [2, 2, 1],
+            {3, 4},
+        ),
+        4,
+        lambda run: _set(run.store.parent, 1, 5),
+        "path enters a contracted blossom off its base edge",
+    ),
+    "alternation": (
+        TRIANGLE,
+        0,
+        lambda run: _set(run.forest.matched, 2, 0),
+        "blossom path does not alternate at an atomic node",
+    ),
+    "base-m-type": (
+        TRIANGLE,
+        0,
+        lambda run: _set(run.forest.matched, 0, 0),
+        "blossom path starts with the base edge's M-type",
+    ),
+    "return-to-base": (
+        LOOPS,
+        0,
+        lambda run: _set(run.forest.vertex, 1, 1),
+        "closed trail does not return to the base vertex",
+    ),
+    # step 1 is blossom base 0 path [1, 3]: arc 1 enters a blossom, so no
+    # alternation is asked between arcs 1 and 3
+    "extreme-edges": (
+        (Multigraph(2, [(1, 0), (1, 0), (1, 1)]), [1, 2], {2}),
+        1,
+        lambda run: _set(run.forest.matched, 3, 1),
+        "extreme edges of a base-case blossom differ in M-type",
+    ),
+    # the complete blossom based at node 3 holds the loop at vertex 0; BL
+    # entry 1 (node 2, a loop at vertex 1) is popped by step 2, which
+    # enlarges the blossom based at node 0, and moving the entry to node 3
+    # ends that step's path in the complete blossom
+    "enlargement-end": (
+        (Multigraph(2, [(1, 1), (1, 1), (0, 0), (0, 1)]), [2, 1], {2}),
+        1,
+        lambda run: _set(run.bl_entry_node, 1, 3),
+        "enlargement path ends in a contracted blossom",
+    ),
+    "enlargement-closure": (
+        LOOPS,
+        1,
+        lambda run: _set(run.forest.vertex, 2, 1),
+        "enlargement does not close at the popping node's vertex",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BLOSSOM_CORRUPTIONS)
+def test_check_catches_a_corrupted_blossom_step(monkeypatch, case):
+    (g, f, matching), step, corrupt, message = BLOSSOM_CORRUPTIONS[case]
+    find_trails(g, f, matching, check=True)  # clean without the corruption
+    with pytest.raises(CheckFailure, match=f"^{message}\n"):
+        corrupted_step(monkeypatch, g, f, matching, step, corrupt)
+
+
+def test_path_down_rejects_a_component_off_the_top(monkeypatch):
+    # the closing arc 3 of the triangle hangs from no node, so the walk up
+    # from it never meets the base
+    def corrupt(run):
+        run.forest.tail[3] = -1
+
+    g, f, matching = TRIANGLE
+    with pytest.raises(StructuralError, match="^component 3 does not descend from component 0\n"):
+        corrupted_step(monkeypatch, g, f, matching, 0, corrupt)
 
 
 def test_bl_list_of_a_vertex_in_no_blossom_has_one_m_type(monkeypatch):

@@ -1,12 +1,13 @@
 import hashlib
 import random
+from array import array
 from itertools import compress
 
 import pytest
 
-from ftrails.engine import ARTIFICIAL, StructuralError, find_trails
+from ftrails.engine import ARTIFICIAL, StructuralError, find_trails, preorder
 from ftrails.expand import GTrail, _Router, check_gtrail, expand_all, pi_trail, rematch
-from ftrails.multigraph import Multigraph, match_state
+from ftrails.multigraph import MatchState, Multigraph, match_state
 from helpers import (
     all_records,
     deep_nesting_phases,
@@ -44,7 +45,7 @@ def test_pi_trail_opposite_vertex_both_parities():
     # the cycle; checked against the brute-force oracle too
     g, result, rec = triangle_blossom_result()
     forest = result.forest
-    occ = [nd for nd in rec.iter_nodes() if forest.vertex[nd] == 2]
+    occ = [nd for nd in preorder([rec])[0] if forest.vertex[nd] == 2]
     steps_u = pi_trail(result, occ[0], rec, False)
     steps_m = pi_trail(result, occ[0], rec, True)
     assert [e for e, _u, _v in steps_u] == [2]
@@ -91,7 +92,7 @@ def test_pi_trail_raises_when_a_skew_closure_misses_the_base_vertex():
     forest = result.forest
     rec = next(r for r in all_records(result) if r.segments[0].children[-1] is not None)
     base_vertex = forest.vertex[rec.base_node]
-    for node in rec.segments[0].children[-1].iter_nodes():
+    for node in preorder([rec.segments[0].children[-1]])[0]:
         if forest.vertex[node] == base_vertex:
             forest.vertex[node] = (base_vertex + 1) % g.n
     with pytest.raises(StructuralError, match="skew closure"):
@@ -110,7 +111,7 @@ def pi_trail_digest(seed: int, count: int) -> str:
             result = find_trails(g, f, m)
             router = _Router(result)
             for rec in all_records(result):
-                for node in sorted(set(rec.iter_nodes())):
+                for node in sorted(set(preorder([rec])[0])):
                     for start_matched in (False, True):
                         steps = pi_trail(result, node, rec, start_matched, router)
                         digest.update(repr(steps).encode())
@@ -329,6 +330,27 @@ def test_rematch_rejects_unknown_edge_id(e):
             rematch(g, [2, 2], matching, [bogus])
 
 
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        (MatchState(b"", array("i")), "matching state needs 1 flags, each 0 or 1"),
+        (MatchState(b"\x02", array("i", [1, 1])), "matching state needs 1 flags, each 0 or 1"),
+        (MatchState(b"\x00", array("i", [1])), "matching state needs 2 deficiencies, none negative"),
+        (
+            MatchState(b"\x00", array("i", [1, -4])),
+            "matching state needs 2 deficiencies, none negative",
+        ),
+    ],
+    ids=["no-flags", "flag-2", "short-deficiency", "negative-deficiency"],
+)
+def test_rematch_checks_a_carried_state_as_find_trails_does(state, message):
+    g = Multigraph(2, [(0, 1)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        find_trails(g, [1, 1], state)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rematch(g, [1, 1], state, [])
+
+
 def test_rematch_leaves_its_input_state_unchanged():
     rng = random.Random(34)
     for _ in range(50):
@@ -352,8 +374,9 @@ def test_expansion_pinned_on_deep_nesting():
 
 def test_router_numbers_each_node_once():
     # expansion is linear because the numbering holds every node inside a
-    # root record once, and each record is one interval of it, in the
-    # order of its own iter_nodes
+    # root record once, and each record is one interval of it: its base
+    # node, then, for each of its arcs in segment order, the arc itself or,
+    # for an arc entering a frozen child, that child's interval
     checked = 0
     for result in deep_nesting_phases():
         roots = list(result.blossoms.root_record.values())
@@ -365,9 +388,19 @@ def test_router_numbers_each_node_once():
         inside = sum(len(seg.arcs) for rec in records for seg in rec.segments)
         assert len(router.order) == len(set(router.order)) == len(roots) + inside
         assert len(router.span) == len(records)
+        order, span = router.order, router.span
         for rec in records:
-            lo, hi = router.span[rec]
-            assert router.order[lo:hi] == list(rec.iter_nodes())
+            expected = [rec.base_node]
+            for seg in rec.segments:
+                for arc, child in zip(seg.arcs, seg.children):
+                    if child is None:
+                        expected.append(arc)
+                    else:
+                        lo, hi = span[child]
+                        assert order[lo] == child.base_node == arc
+                        expected += order[lo:hi]
+            lo, hi = span[rec]
+            assert order[lo:hi] == expected
         checked += 1
     assert checked
 
