@@ -23,6 +23,8 @@ class Multigraph:
     __slots__ = ("n", "m", "edges", "exor", "inc_flat", "inc_off")
 
     def __init__(self, n: int, edges: list[tuple[int, int]]) -> None:
+        if not hasattr(n, "__index__"):
+            raise ValueError(f"vertex count {n!r} is not an integer")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
 
@@ -33,14 +35,18 @@ class Multigraph:
         # inc_flat[inc_off[v]:inc_off[v + 1]] lists the edge ids incident to
         # v, in edge-id order; a loop appears once in its vertex's segment.
         # One pass counts each vertex's edges, a second places them: no
-        # per-vertex list is ever built.
+        # per-vertex list is ever built.  An endpoint that is not an integer
+        # fails the first pass's comparisons or list indexing.
         count = [0] * n
-        for e, (u, v) in enumerate(self.edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {e} endpoint out of range: ({u}, {v})")
-            count[u] += 1
-            if v != u:
-                count[v] += 1
+        try:
+            for e, (u, v) in enumerate(self.edges):
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge {e} endpoint out of range: ({u}, {v})")
+                count[u] += 1
+                if v != u:
+                    count[v] += 1
+        except TypeError:
+            raise ValueError(f"edge {e} is not a pair of integers: {self.edges[e]!r}") from None
         # exor[e] is u ^ v for edge e = (u, v): the far end from either end
         # is one array read and one xor (a loop's entry is 0)
         self.exor = array("i", starmap(xor, self.edges))
@@ -75,14 +81,26 @@ F_MAX = 2**31 - 1
 
 
 def check_inputs(g: Multigraph, f: list[int], matching) -> None:
-    """Validate a per-vertex degree bound vector (each bound in 0..F_MAX)
-    and a matching's edge ids against g, raising ValueError."""
+    """Validate a per-vertex degree bound vector (each bound an integer in
+    0..F_MAX) and a matching's edge ids against g, raising ValueError.
+
+    One C-level array build checks every bound for an integer of 32 bits,
+    so no bound can exceed F_MAX once it succeeds; only when it fails is f
+    scanned for the first bound that is not an integer."""
     if len(f) != g.n:
         raise ValueError(f"degree bound vector has length {len(f)}, expected {g.n}")
+    fits = True
+    try:
+        array("i", f)
+    except (TypeError, OverflowError):
+        fits = False
+        v = next((v for v, b in enumerate(f) if not hasattr(b, "__index__")), None)
+        if v is not None:
+            raise ValueError(f"degree bound f({v}) = {f[v]!r} is not an integer")
     if f and min(f) < 0:
         v = next(v for v, b in enumerate(f) if b < 0)
         raise ValueError(f"degree bound f({v}) = {f[v]} is negative")
-    if f and max(f) > F_MAX:
+    if not fits and max(f) > F_MAX:
         v = next(v for v, b in enumerate(f) if b > F_MAX)
         raise ValueError(f"degree bound f({v}) = {f[v]} exceeds {F_MAX}")
     m = g.m

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import compress
 
 import pytest
 
@@ -16,7 +17,14 @@ from ftrails.certificate import (
 from ftrails.engine import find_trails
 from ftrails.expand import expand_all, rematch
 from ftrails.multigraph import Multigraph
-from helpers import deep_nesting_phases, random_instance, random_valid_matching, subgraph
+from helpers import (
+    all_records,
+    deep_nesting_phases,
+    matched_set,
+    random_instance,
+    random_valid_matching,
+    subgraph,
+)
 from oracle import OracleLimit, brute_max
 
 WIDE = OracleLimit(max_edges=13, max_trail_len=13)
@@ -66,41 +74,37 @@ def test_bound_rejects_inputs_outside_the_graph(f, inner, outer, message):
 
 def test_residual_graph_no_trails_is_whole_graph():
     g = Multigraph(3, [(0, 1), (1, 2)])
-    m = {0}
-    result = find_trails(g, [1, 1, 1], m)
-    rg = residual_graph(result)
-    assert set(rg.edges) == {0, 1}
-    assert set(rg.matching) == m
-    assert rg.f_prime == [1, 1, 1]
+    rep = verify(find_trails(g, [1, 1, 1], {0}))
+    assert rep.residual_edges == b"\x01\x01"
+    assert rep.residual_matching == b"\x01\x00"
+    assert rep.f_prime == [1, 1, 1]
 
 
 def test_residual_graph_single_edge_emptied():
     g = Multigraph(2, [(0, 1)])
-    result = find_trails(g, [1, 1], set())
-    rg = residual_graph(result)
-    assert set(rg.edges) == set()
-    assert rg.f_prime == [0, 0]
+    rep = verify(find_trails(g, [1, 1], set()))
+    assert rep.residual_edges == b"\x00"
+    assert rep.f_prime == [0, 0]
 
 
 def test_residual_keeps_complete_blossom_edges():
     # triangle blossom at maximum: all three edges stay residual
     g = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
-    result = find_trails(g, [1, 1, 1], {1}, check=True)
-    rg = residual_graph(result)
-    assert set(rg.edges) == {0, 1, 2}
+    rep = verify(find_trails(g, [1, 1, 1], {1}, check=True))
+    assert rep.residual_edges == b"\x01\x01\x01"
 
 
 def test_labels_unsuccessful_free_root_is_outer():
     g = Multigraph(1, [])
     result = find_trails(g, [1], set())
-    labels = compute_labels(result)
+    labels = verify(result).labeling
     assert labels.label[0] == "O"
 
 
 def test_labels_free_vertex_with_deficiency_two_is_outer():
     g = Multigraph(2, [(0, 1)])
     result = find_trails(g, [3, 1], set())
-    labels = compute_labels(result)
+    labels = verify(result).labeling
     assert result.def_final[0] == 2
     assert labels.label[0] == "O"
 
@@ -108,7 +112,7 @@ def test_labels_free_vertex_with_deficiency_two_is_outer():
 def test_labels_unreached_vertex_is_orphan():
     g = Multigraph(2, [(0, 1)])
     result = find_trails(g, [1, 1], set())
-    labels = compute_labels(result)
+    labels = verify(result).labeling
     assert labels.label == [None, None]
     assert labels.unlabeled_kind == [ORPHAN, ORPHAN]
 
@@ -116,7 +120,7 @@ def test_labels_unreached_vertex_is_orphan():
 def test_labels_complete_blossom_members_unlabeled():
     g = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
     result = find_trails(g, [1, 1, 1], {1}, check=True)
-    labels = compute_labels(result)
+    labels = verify(result).labeling
     assert labels.unlabeled_kind == [IN_COMPLETE_BLOSSOM] * 3
 
 
@@ -130,9 +134,8 @@ def test_verify_path_labels():
     # path 0-1-2 with the middle matched towards 2: labels O, I, O
     g = Multigraph(3, [(0, 1), (1, 2)])
     result = find_trails(g, [1, 1, 1], {1}, check=True)
-    labels = compute_labels(result)
-    assert labels.label == ["O", "I", "O"]
     report = verify(result)
+    assert report.labeling.label == ["O", "I", "O"]
     assert report.ok and report.bound == 1
 
 
@@ -269,15 +272,16 @@ def random_phase_results(seed: int, count: int):
 
 
 def certificate_digest(results) -> str:
-    """sha256 of each result's verify report and residual graph."""
+    """sha256 of each result's verify report, residual graph included."""
     digest = hashlib.sha256()
     for result in results:
         rep = verify(result)
-        rg = residual_graph(result)
+        ids = range(result.g.m)
         digest.update(repr((
             rep.ok, rep.bound, rep.residual_size, rep.labeling.label,
             rep.labeling.unlabeled_kind, rep.components,
-            sorted(rg.edges), sorted(rg.matching), rg.f_prime,
+            list(compress(ids, rep.residual_edges)), list(compress(ids, rep.residual_matching)),
+            rep.f_prime,
         )).encode())
     return digest.hexdigest()
 
@@ -294,6 +298,36 @@ def test_certificate_pinned_on_deep_nesting():
     assert digest == "6245b179b2b950b0ad51a86b1b6acf80b662b6e9d652426a7f47e62b8a2877d0"
 
 
+@pytest.mark.parametrize(
+    "phases", [lambda: random_phase_results(77, 300), deep_nesting_phases],
+    ids=["randoms", "deep-nesting"],
+)
+def test_report_residual_matches_its_definition(phases):
+    # residual edges: every edge off the trails plus every edge inside a
+    # complete blossom (the records nested in a complete one are complete);
+    # residual matching: the post-rematch matching (the matching before
+    # with every trail edge flipped) on those edges; f': the final
+    # deficiency plus the residual matched degree, a loop counting twice
+    for result in phases():
+        g = result.g
+        on_trail = {e for t in expand_all(result) for e in t.edges}
+        inside = {
+            result.forest.edge[a]
+            for rec in all_records(result) if rec.complete
+            for seg in rec.segments for a in seg.arcs
+        }
+        residual = {e for e in range(g.m) if e not in on_trail} | inside
+        matching = (matched_set(result) ^ on_trail) & residual
+        f_prime = list(result.def_final)
+        for e in matching:
+            for x in g.edges[e]:
+                f_prime[x] += 1
+        rep = verify(result)
+        assert set(compress(range(g.m), rep.residual_edges)) == residual
+        assert set(compress(range(g.m), rep.residual_matching)) == matching
+        assert rep.f_prime == f_prime
+
+
 def test_verify_oracle_equivalence_randoms():
     rng = random.Random(4242)
     for _ in range(200):
@@ -302,10 +336,9 @@ def test_verify_oracle_equivalence_randoms():
         result = find_trails(g, f, m, check=True)
         report = verify(result)
         assert report.ok, report.failures
-        rg = residual_graph(result)
-        sub, remap = subgraph(g, rg.edges)
-        best, _ = brute_max(sub, rg.f_prime, WIDE)
-        assert report.bound == best == len(rg.matching)
+        sub, _ = subgraph(g, compress(range(g.m), report.residual_edges))
+        best, _ = brute_max(sub, report.f_prime, WIDE)
+        assert report.bound == best == report.residual_matching.count(1)
 
 
 def test_weak_duality_randoms():
@@ -346,6 +379,7 @@ def test_labeling_views_agree():
     assert lab.label == [None, None, None, "I", "O", None, None]
     assert lab.unlabeled_kind == [IN_COMPLETE_BLOSSOM] * 3 + [None, None, ORPHAN, ORPHAN]
     assert lab == compute_labels(result)
+    assert residual_graph(result) == report
     assert lab.inner == {v for v, l in enumerate(lab.label) if l == "I"}
     assert lab.outer == {v for v, l in enumerate(lab.label) if l == "O"}
     assert all((l is None) != (k is None) for l, k in zip(lab.label, lab.unlabeled_kind))

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from ftrails.certificate import bound_value
 from ftrails.driver import max_f_matching
 from ftrails.engine import find_trails
+from ftrails.expand import rematch
 from ftrails.multigraph import Multigraph, check_inputs, match_state, validate_matching
+from ftrails.substitute import build_substitute
 from helpers import random_instance, random_valid_matching
 
 
@@ -103,3 +106,34 @@ def test_degree_bound_beyond_the_deficiency_array_is_a_value_error():
     with pytest.raises(ValueError, match=message):
         find_trails(g, [99999999999, 1], set())
     assert max_f_matching(g, [2**31 - 1, 1]).matching == {0}
+
+
+EDGE = Multigraph(2, [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: find_trails(EDGE, [1.0, 1], set()),
+         r"degree bound f\(0\) = 1.0 is not an integer"),
+        (lambda: max_f_matching(EDGE, [1, 1.5]), r"degree bound f\(1\) = 1.5 is not an integer"),
+        (lambda: rematch(EDGE, ["1", 1], set(), []),
+         r"degree bound f\(0\) = '1' is not an integer"),
+        (lambda: bound_value(EDGE, [1.5, 1], set(), set()),
+         r"degree bound f\(0\) = 1.5 is not an integer"),
+        # a bound too large for the array and a later one that is no integer
+        (lambda: build_substitute(EDGE, [2**40, None], set(), []),
+         r"degree bound f\(1\) = None is not an integer"),
+        (lambda: Multigraph(2, [(0, 1.0)]), r"edge 0 is not a pair of integers: \(0, 1.0\)"),
+        (lambda: Multigraph(2, [(0, 1), ("0", 1)]),
+         r"edge 1 is not a pair of integers: \('0', 1\)"),
+        (lambda: Multigraph(2, [(0, 1), 7]), "edge 1 is not a pair of integers: 7"),
+        (lambda: Multigraph(2.0, [(0, 1)]), "vertex count 2.0 is not an integer"),
+    ],
+    ids=["find_trails", "max_f_matching", "rematch", "bound_value", "build_substitute",
+         "Multigraph-endpoint", "Multigraph-str-endpoint", "Multigraph-edge", "Multigraph-n"],
+)
+def test_non_integer_input_is_a_value_error(call, message):
+    # a one-line ValueError at the boundary, never a TypeError from inside
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
